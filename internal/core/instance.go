@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"rdmaagreement/internal/fastpaxos"
 	"rdmaagreement/internal/omega"
 	"rdmaagreement/internal/paxos"
 	"rdmaagreement/internal/pmpaxos"
@@ -44,10 +43,10 @@ type Instance struct {
 // pipelined committer keeps several open at once, and the cluster tracks the
 // live count (LiveInstances/PeakInstances).
 //
-// Instances are supported for the slot-capable protocols: Protected Memory
-// Paxos, Paxos and Fast Paxos. The remaining protocols hard-code their
-// single-shot memory layout (Cheap Quorum's panic region, Disk Paxos's
-// blocks) and report an error.
+// Instances are supported for the two slot-capable protocols: Protected
+// Memory Paxos and classic Paxos (the 4-delay baseline). The remaining
+// protocols are single-shot only — some hard-code their memory layout (Cheap
+// Quorum's panic region, Disk Paxos's blocks) — and report an error.
 //
 // A new instance is laid out for the CURRENT lease holder: its region's
 // initial write permission (and the skip-phase-1 fast path) go to the holder
@@ -72,11 +71,11 @@ func (c *Cluster) NewInstance(slot uint64) (*Instance, error) {
 // the cluster's memories: the recovery proposer's phase 1 steals the write
 // permission — fencing any still-in-flight write of the original attempt —
 // and adopts the highest accepted value it reads, so a persisted original
-// value is re-decided, never lost. The message-passing protocols keep
-// acceptor state inside an instance's nodes, so a recovery instance starts
-// from scratch there; that is safe exactly because a timed-out proposal has
-// never disseminated a decision (see smr's recovery for the argument), but
-// callers must not expect value adoption from those backends.
+// value is re-decided, never lost. Paxos keeps acceptor state inside an
+// instance's nodes, so a recovery instance starts from scratch there; that is
+// safe exactly because a timed-out proposal has never disseminated a decision
+// (see smr's recovery for the argument), but callers must not expect value
+// adoption from that backend.
 func (c *Cluster) NewRecoveryInstance(slot uint64, proposer types.ProcID) (*Instance, error) {
 	if proposer == types.NoProcess {
 		return nil, fmt.Errorf("%w: recovery instance needs a proposer", types.ErrInvalidConfig)
@@ -114,13 +113,9 @@ func (c *Cluster) newInstance(slot uint64, oracle omega.Oracle, initialLeader ty
 		build = func(p types.ProcID) (SlotProposer, func(), error) {
 			return c.buildPaxosSlot(slot, p, oracle)
 		}
-	case ProtocolFastPaxos:
-		build = func(p types.ProcID) (SlotProposer, func(), error) {
-			return c.buildFastPaxosSlot(slot, p, oracle)
-		}
 	default:
-		return nil, fmt.Errorf("%w: protocol %s does not support slot multiplexing (use %s, %s or %s)",
-			types.ErrInvalidConfig, c.Protocol, ProtocolProtectedMemoryPaxos, ProtocolPaxos, ProtocolFastPaxos)
+		return nil, fmt.Errorf("%w: protocol %s does not support slot multiplexing (use %s or %s)",
+			types.ErrInvalidConfig, c.Protocol, ProtocolProtectedMemoryPaxos, ProtocolPaxos)
 	}
 	for _, p := range c.Procs {
 		handle, cleanup, err := build(p)
@@ -157,9 +152,9 @@ func (i *Instance) Close() {
 // held its region. It is the substrate half of replicated-log slot GC: after
 // the slot's decision has been captured in a state-machine snapshot, its
 // region (for Protected Memory Paxos, pmpaxos/slot/<n> on every memory) is
-// never read again and can be truncated. Message-passing protocols keep no
-// per-slot memory state — their live resources are already removed by
-// Instance.Close's unsubscribes — so ReleaseInstance is a no-op for them.
+// never read again and can be truncated. Paxos keeps no per-slot memory
+// state — its live resources are already removed by Instance.Close's
+// unsubscribes — so ReleaseInstance is a no-op for it.
 //
 // Releasing a slot that still has live proposers is the caller's bug: their
 // reads and writes will fail with ErrUnknownRegion.
@@ -248,49 +243,4 @@ func (c *Cluster) buildPaxosSlot(slot uint64, p types.ProcID, oracle omega.Oracl
 		router.Unsubscribe(sub)
 	}
 	return &paxosSlotHandle{paxosProposer{node: node}}, cleanup, nil
-}
-
-// fastPaxosSlotHandle adapts a per-slot Fast Paxos node.
-type fastPaxosSlotHandle struct {
-	fastPaxosProposer
-}
-
-func (h *fastPaxosSlotHandle) WaitDecision(ctx context.Context) (types.Value, error) {
-	return h.node.WaitDecision(ctx)
-}
-
-// fastPaxosSlotPrefix is the kind prefix of Fast Paxos instance slot.
-func fastPaxosSlotPrefix(slot uint64) string { return fmt.Sprintf("fastpaxos/slot/%d/", slot) }
-
-func (c *Cluster) buildFastPaxosSlot(slot uint64, p types.ProcID, oracle omega.Oracle) (SlotProposer, func(), error) {
-	router := c.router(p)
-	prefix := fastPaxosSlotPrefix(slot)
-	fastSub := router.Subscribe(prefix, 0)
-	classicSub := router.Subscribe(prefix+"classic", 0)
-	unsubscribe := func() {
-		router.Unsubscribe(fastSub)
-		router.Unsubscribe(classicSub)
-	}
-	node, err := fastpaxos.New(fastpaxos.Config{
-		Self:            p,
-		Procs:           c.Procs,
-		FaultyProcesses: c.Opts.FaultyProcesses,
-		Endpoint:        c.Network.Register(p),
-		FastSub:         fastSub,
-		ClassicSub:      classicSub,
-		Oracle:          oracle,
-		KindPrefix:      prefix,
-		FastTimeout:     c.Opts.FastTimeout,
-		Recorder:        c.Opts.Recorder,
-	})
-	if err != nil {
-		unsubscribe()
-		return nil, nil, err
-	}
-	node.Start()
-	cleanup := func() {
-		node.Stop()
-		unsubscribe()
-	}
-	return &fastPaxosSlotHandle{fastPaxosProposer{node: node}}, cleanup, nil
 }

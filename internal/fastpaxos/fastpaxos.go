@@ -29,19 +29,16 @@ import (
 	"rdmaagreement/internal/types"
 )
 
-// DefaultKindPrefix scopes the message kinds of a stand-alone instance.
-const DefaultKindPrefix = "fastpaxos/"
-
-// Message kinds used by the fast round of a stand-alone instance. Multiplexed
-// instances (log slots) derive their kinds from Config.KindPrefix instead so
-// that messages of different slots never collide on the shared network.
+// Message kinds of a Fast Paxos instance. They share the "fastpaxos/" prefix:
+// a router subscription to that prefix carries the fast round, and the
+// longer ClassicKind subscription takes the fallback.
 const (
-	KindFastPropose = DefaultKindPrefix + "propose"
-	KindFastAck     = DefaultKindPrefix + "ack"
+	KindFastPropose = "fastpaxos/propose"
+	KindFastAck     = "fastpaxos/ack"
 	// ClassicKind is the message kind used by the embedded classic Paxos
 	// fallback; routers must route this prefix to the transport passed to
 	// New.
-	ClassicKind = DefaultKindPrefix + "classic"
+	ClassicKind = "fastpaxos/classic"
 )
 
 // ack is the payload of a fast-round acknowledgement.
@@ -67,11 +64,6 @@ type Config struct {
 	ClassicSub <-chan netsim.Message
 	// Oracle is the Ω oracle used by the classic fallback.
 	Oracle omega.Oracle
-	// KindPrefix scopes this node's message kinds ("<prefix>propose",
-	// "<prefix>ack", "<prefix>classic"). Empty means DefaultKindPrefix. The
-	// replicated-log layer gives each slot its own prefix; FastSub and
-	// ClassicSub must then be subscribed to the matching prefixes.
-	KindPrefix string
 	// FastTimeout bounds how long the proposer waits for a fast quorum
 	// before falling back. Zero means 50ms.
 	FastTimeout time.Duration
@@ -93,9 +85,6 @@ func (c *Config) Validate() error {
 }
 
 func (c *Config) applyDefaults() {
-	if c.KindPrefix == "" {
-		c.KindPrefix = DefaultKindPrefix
-	}
 	if c.FastTimeout <= 0 {
 		c.FastTimeout = 50 * time.Millisecond
 	}
@@ -117,11 +106,8 @@ type Outcome struct {
 
 // Node is one Fast Paxos participant (acceptor and, on demand, proposer).
 type Node struct {
-	cfg         Config
-	classic     *paxos.Node
-	proposeKind string
-	ackKind     string
-	classicKind string
+	cfg     Config
+	classic *paxos.Node
 
 	mu       sync.Mutex
 	accepted types.Value // value accepted in the fast round, if any
@@ -138,22 +124,18 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("fast paxos: %w", err)
 	}
 	cfg.applyDefaults()
-	classicKind := cfg.KindPrefix + "classic"
 	classic := paxos.NewNode(paxos.Config{
 		Self:     cfg.Self,
 		Procs:    cfg.Procs,
 		Oracle:   cfg.Oracle,
 		Clock:    cfg.Clock,
 		Recorder: cfg.Recorder,
-	}, paxos.NewNetTransport(cfg.Endpoint, cfg.ClassicSub, classicKind))
+	}, paxos.NewNetTransport(cfg.Endpoint, cfg.ClassicSub, ClassicKind))
 	return &Node{
-		cfg:         cfg,
-		classic:     classic,
-		proposeKind: cfg.KindPrefix + "propose",
-		ackKind:     cfg.KindPrefix + "ack",
-		classicKind: classicKind,
-		acks:        make(map[types.ProcID]types.Value),
-		ackCh:       make(chan struct{}, 1),
+		cfg:     cfg,
+		classic: classic,
+		acks:    make(map[types.ProcID]types.Value),
+		ackCh:   make(chan struct{}, 1),
 	}, nil
 }
 
@@ -202,9 +184,9 @@ func (n *Node) acceptorLoop(ctx context.Context) {
 				n.cfg.Clock.MergeAfterMessage(msg.Stamp)
 			}
 			switch msg.Kind {
-			case n.proposeKind:
+			case KindFastPropose:
 				n.handlePropose(msg)
-			case n.ackKind:
+			case KindFastAck:
 				n.handleAck(msg)
 			}
 		}
@@ -231,7 +213,7 @@ func (n *Node) handlePropose(msg netsim.Message) {
 	if msg.From != n.cfg.Self {
 		stamp = stamp.AfterMessage()
 	}
-	_ = n.cfg.Endpoint.Broadcast(n.ackKind, payload, stamp)
+	_ = n.cfg.Endpoint.Broadcast(KindFastAck, payload, stamp)
 }
 
 func (n *Node) handleAck(msg netsim.Message) {
@@ -253,7 +235,7 @@ func (n *Node) handleAck(msg netsim.Message) {
 func (n *Node) Propose(ctx context.Context, v types.Value) (Outcome, error) {
 	n.cfg.Recorder.Record(n.cfg.Self, trace.KindPropose, v, n.cfg.Clock.Now(), "fast paxos propose")
 	start := n.cfg.Clock.Now()
-	if err := n.cfg.Endpoint.Broadcast(n.proposeKind, v, start); err != nil {
+	if err := n.cfg.Endpoint.Broadcast(KindFastPropose, v, start); err != nil {
 		return Outcome{}, fmt.Errorf("fast paxos propose: %w", err)
 	}
 
@@ -311,21 +293,17 @@ func (n *Node) fallback(ctx context.Context, v types.Value, start delayclock.Sta
 	}, nil
 }
 
-// disseminate tells every node's learner about a fast-path decision by
-// broadcasting a classic decide message. The fast round itself only informs
-// the winning proposer; replicated-log learners need every node to converge,
-// so the decision is re-broadcast on the classic kind (netsim guarantees
-// no-loss, so every correct node learns).
+// disseminate tells every node's classic fallback about a fast-path decision
+// by broadcasting a classic decide message. The fast round itself only
+// informs the winning proposer. A concurrent proposer whose fast round failed
+// falls back to classic Paxos, where a non-leader waits for someone else's
+// decision; if the Ω leader decided on the fast path, this broadcast is the
+// only decision it will ever see (netsim guarantees no loss, so every correct
+// node learns).
 func (n *Node) disseminate(v types.Value) {
 	payload, err := (paxos.Message{Kind: paxos.KindDecide, From: n.cfg.Self, Value: v}).Encode()
 	if err != nil {
 		return
 	}
-	_ = n.cfg.Endpoint.Broadcast(n.classicKind, payload, n.cfg.Clock.Now())
-}
-
-// WaitDecision blocks until this node learns a decision: through the classic
-// fallback, or through the decide broadcast a fast-path winner sends.
-func (n *Node) WaitDecision(ctx context.Context) (types.Value, error) {
-	return n.classic.WaitDecision(ctx)
+	_ = n.cfg.Endpoint.Broadcast(ClassicKind, payload, n.cfg.Clock.Now())
 }

@@ -3,7 +3,6 @@ package smr
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -12,12 +11,8 @@ import (
 
 // The slot-value wire format.
 //
-// A decided slot value is one wireBatch. Since the hot-path campaign it is a
-// length-prefixed binary framing — one flat allocation to encode, zero-copy
-// subslices to decode — replacing the JSON object the committer shipped
-// before (and still accepts: see decodeBatchInto's legacy branch, which keeps
-// recovery and mixed-version replay working against values written by older
-// code).
+// A decided slot value is one wireBatch in a length-prefixed binary framing:
+// one flat allocation to encode, zero-copy subslices to decode.
 //
 //	magic "rbat\x00\x01"        6 bytes
 //	origin                      uvarint (0 = recovery/fencing no-op)
@@ -28,8 +23,7 @@ import (
 //	    cmd                     len(cmd) bytes
 //	}
 //
-// The magic is what makes mixed decode unambiguous: a legacy JSON batch
-// always starts with '{', which can never collide with the tag. Everything a
+// A value without the magic is not a batch and fails to decode. Everything a
 // decoder hands out aliases the decided value it was given — decided values
 // are immutable and retained by the log for the slot window, so the apply
 // path never clones command payloads again.
@@ -130,29 +124,18 @@ func releaseBatch(b *wireBatch) {
 	batchPool.Put(b)
 }
 
-// decodeBatchInto decodes raw into b, reusing b's slice capacity. Binary
-// values decode to zero-copy subslices of raw; legacy JSON values (the
-// pre-binary wire format, still possible in slots recovered across a version
-// boundary) decode through encoding/json. Anything else — truncated framing,
-// overlong counts, a blob that is neither tagged nor JSON — is an error,
-// never a panic: decided values normally always decode, but the fuzz harness
-// (and a hostile raw Propose) feeds this arbitrary bytes.
+// decodeBatchInto decodes raw into b, reusing b's slice capacity; commands
+// are zero-copy subslices of raw. Anything else — a missing magic, truncated
+// framing, overlong counts — is an error, never a panic: decided values
+// normally always decode, but the fuzz harness (and a hostile raw Propose)
+// feeds this arbitrary bytes.
 //
 //smrlint:noalloc
 func decodeBatchInto(b *wireBatch, raw types.Value) error {
-	if bytes.HasPrefix(raw, batchMagic) {
-		return decodeBinaryInto(b, raw[len(batchMagic):])
+	if !bytes.HasPrefix(raw, batchMagic) {
+		return fmt.Errorf("decode batch: missing batch magic")
 	}
-	// Legacy JSON batch. Reset first: json.Unmarshal leaves absent fields
-	// untouched, and b may carry a previous decode.
-	*b = wireBatch{IDs: b.IDs[:0], Cmds: b.Cmds[:0]}
-	if err := json.Unmarshal(raw, b); err != nil {
-		return fmt.Errorf("decode batch: %w", err)
-	}
-	if len(b.IDs) != len(b.Cmds) {
-		return fmt.Errorf("decode batch: %d ids for %d commands", len(b.IDs), len(b.Cmds))
-	}
-	return nil
+	return decodeBinaryInto(b, raw[len(batchMagic):])
 }
 
 //smrlint:noalloc
@@ -169,7 +152,7 @@ func decodeBinaryInto(b *wireBatch, rest []byte) error {
 	rest = rest[n:]
 	// Each command costs at least two bytes of framing, so an honest count
 	// can never exceed half the remaining length — reject before allocating.
-	if count > uint64(len(rest)) {
+	if count > uint64(len(rest)/2) {
 		return fmt.Errorf("decode batch: count %d exceeds payload", count)
 	}
 	b.Origin = origin
@@ -209,23 +192,18 @@ func decodeBatch(raw types.Value) (wireBatch, error) {
 	return b, nil
 }
 
-// peekOrigin reads a decided value's origin tag without materializing the
-// batch: a header parse for binary values, a full decode for legacy JSON
-// ones. The dispatcher uses it at result-receipt time to tell won from
-// displaced before the slot reaches the applier.
+// peekOrigin reads a decided value's origin tag with a header parse, without
+// materializing the batch. The dispatcher uses it at result-receipt time to
+// tell won from displaced before the slot reaches the applier.
 //
 //smrlint:noalloc
 func peekOrigin(raw types.Value) (uint64, error) {
-	if bytes.HasPrefix(raw, batchMagic) {
-		origin, n := binary.Uvarint(raw[len(batchMagic):])
-		if n <= 0 {
-			return 0, fmt.Errorf("decode batch: truncated origin")
-		}
-		return origin, nil
+	if !bytes.HasPrefix(raw, batchMagic) {
+		return 0, fmt.Errorf("decode batch: missing batch magic")
 	}
-	b, err := decodeBatch(raw)
-	if err != nil {
-		return 0, err
+	origin, n := binary.Uvarint(raw[len(batchMagic):])
+	if n <= 0 {
+		return 0, fmt.Errorf("decode batch: truncated origin")
 	}
-	return b.Origin, nil
+	return origin, nil
 }

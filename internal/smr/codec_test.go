@@ -2,7 +2,6 @@ package smr
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -38,29 +37,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecLegacyJSON pins mixed decode: a batch committed by pre-binary code
-// (a bare JSON object, no magic) still decodes, and peekOrigin sees through it.
-func TestCodecLegacyJSON(t *testing.T) {
-	legacy, err := json.Marshal(wireBatch{Origin: 5, IDs: []uint64{9, 10}, Cmds: [][]byte{[]byte("old"), []byte("er")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeBatch(legacy)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.Origin != 5 || len(got.IDs) != 2 || string(got.Cmds[0]) != "old" {
-		t.Fatalf("legacy decode: got %+v", got)
-	}
-	if origin, err := peekOrigin(legacy); err != nil || origin != 5 {
-		t.Fatalf("legacy peekOrigin = (%d, %v), want 5", origin, err)
-	}
-	// Mismatched ids/cmds is the one structural invariant JSON can violate.
-	if _, err := decodeBatch([]byte(`{"origin":1,"ids":[1,2],"cmds":["YQ=="]}`)); err == nil {
-		t.Fatal("mismatched ids/cmds decoded without error")
-	}
-}
-
 // TestCodecPoolReuse pins that a released envelope decodes the next value
 // correctly — stale ids/cmds from the previous decode must not leak through.
 func TestCodecPoolReuse(t *testing.T) {
@@ -80,24 +56,32 @@ func TestCodecPoolReuse(t *testing.T) {
 }
 
 // FuzzDecodeBatch feeds the decoder arbitrary bytes. Whatever comes in —
-// valid binary framing, legacy JSON, truncated headers, hostile counts,
-// garbage — it must never panic, and anything it accepts must re-encode to a
-// value that decodes to the same batch (decode → encode → decode is
-// identity, which is exactly the property recovery relies on when it
-// re-proposes a learned value).
+// valid binary framing, truncated headers, hostile counts, garbage — it must
+// never panic, and anything it accepts must re-encode to a value that decodes
+// to the same batch (decode → encode → decode is identity, which is exactly
+// the property recovery relies on when it re-proposes a learned value).
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(wireBatch{}.encode()))
 	f.Add([]byte(wireBatch{Origin: 1, IDs: []uint64{1}, Cmds: [][]byte{[]byte("put")}}.encode()))
 	f.Add([]byte(wireBatch{Origin: 300, IDs: []uint64{1 << 40, 2}, Cmds: [][]byte{bytes.Repeat([]byte("k"), 300), nil}}.encode()))
-	if legacy, err := json.Marshal(wireBatch{Origin: 7, IDs: []uint64{1, 2}, Cmds: [][]byte{[]byte("a"), []byte("b")}}); err == nil {
-		f.Add(legacy)
+	// Seeds that must be rejected.
+	rejected := [][]byte{
+		[]byte(`{"origin":7,"ids":[1,2],"cmds":["YQ==","Yg=="]}`), // retired JSON batch
+		[]byte("rbat\x00\x01"),                 // magic, then nothing
+		[]byte("rbat\x00\x01\x01\xff"),         // truncated count
+		[]byte("rbat\x00\x01\x00\xff\xff\xff"), // hostile count, no payload
+		// count = len(payload)/2 + 1: one command more than its framing allows.
+		[]byte("rbat\x00\x01\x00\x02\x00\x00"),
+		[]byte(`{"origin":1,"ids":[1,2],"cmds":["YQ=="]}`),
+		{},
+		[]byte("not a batch at all"),
 	}
-	f.Add([]byte("rbat\x00\x01"))                 // magic, then nothing
-	f.Add([]byte("rbat\x00\x01\x01\xff"))         // truncated count
-	f.Add([]byte("rbat\x00\x01\x00\xff\xff\xff")) // hostile count, no payload
-	f.Add([]byte(`{"origin":1,"ids":[1,2],"cmds":["YQ=="]}`))
-	f.Add([]byte{})
-	f.Add([]byte("not a batch at all"))
+	for _, raw := range rejected {
+		if _, err := decodeBatch(raw); err == nil {
+			f.Fatalf("decodeBatch(%q) succeeded, want an error", raw)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b := borrowBatch()

@@ -179,10 +179,11 @@ func TestPipelinedReadBarriers(t *testing.T) {
 }
 
 // TestPipelineOverMessagePassingProtocols exercises per-slot state of the
-// message-passing baselines under concurrent instances: pipelined commits
-// over Paxos and Fast Paxos must stay gap-free with agreeing replicas.
+// classic Paxos baseline, the one message-passing slot backend, under
+// concurrent instances: pipelined commits must stay gap-free with agreeing
+// replicas.
 func TestPipelineOverMessagePassingProtocols(t *testing.T) {
-	for _, protocol := range []core.Protocol{core.ProtocolPaxos, core.ProtocolFastPaxos} {
+	for _, protocol := range []core.Protocol{core.ProtocolPaxos} {
 		protocol := protocol
 		t.Run(string(protocol), func(t *testing.T) {
 			opts := testOptions(protocol)

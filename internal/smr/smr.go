@@ -68,10 +68,11 @@ import (
 
 // Options configure a Log.
 type Options struct {
-	// Protocol is the agreement protocol run per slot. It must be one of the
-	// slot-capable protocols (Protected Memory Paxos, Paxos, Fast Paxos).
-	// Empty means Protected Memory Paxos, the paper's 2-deciding crash
-	// algorithm.
+	// Protocol is the agreement protocol run per slot: Protected Memory Paxos
+	// (the paper's 2-deciding crash algorithm; the default when empty) or
+	// classic Paxos (the 4-delay message-passing baseline). Any other
+	// protocol is single-shot only and NewLog fails with
+	// types.ErrInvalidConfig.
 	Protocol core.Protocol
 	// Cluster describes the long-lived cluster (topology, failure bounds,
 	// timing).
@@ -221,13 +222,11 @@ type Entry struct {
 // slot, and a slot lost to a competitor must commit the competitor's batch
 // and retry (or fail) ours, never mislabel it.
 //
-// On the wire a batch is the length-prefixed binary framing in codec.go; the
-// json tags survive only for the legacy decode path (values written by the
-// pre-binary format, replayed through recovery or a mixed-version restart).
+// On the wire a batch is the length-prefixed binary framing in codec.go.
 type wireBatch struct {
-	Origin uint64   `json:"origin"`
-	IDs    []uint64 `json:"ids"`
-	Cmds   [][]byte `json:"cmds"`
+	Origin uint64
+	IDs    []uint64
+	Cmds   [][]byte
 }
 
 // Stats are per-group counters of the committer's recovery, lease and
@@ -1560,10 +1559,10 @@ const epochRetryBound = 8
 // per-backend. Protected Memory Paxos keeps the slot's state in the shared
 // memories, which the recovery instance reuses: a persisted original batch
 // IS adopted, and the recovery proposer's permission acquisition fences any
-// still-in-flight write of the original attempt. The message-passing
-// backends (Paxos, Fast Paxos) keep acceptor state inside the instance's
-// nodes, which closing the failed instance discards — their recovery always
-// decides the no-op and displaces the batch, never the refused fate. That
+// still-in-flight write of the original attempt. The Paxos backend keeps
+// acceptor state inside the instance's nodes, which closing the failed
+// instance discards — its recovery always decides the no-op and displaces
+// the batch, never the refused fate. That
 // is still exactly-once safe for every backend: a failed Propose never
 // broadcast a decision (the protocols decide before disseminating), so no
 // learner view can have observed the original attempt, and whatever the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rdmaagreement/internal/core"
+	"rdmaagreement/internal/types"
 )
 
 func testOptions(protocol core.Protocol) Options {
@@ -220,10 +221,11 @@ func TestEntriesCatchUp(t *testing.T) {
 	}
 }
 
-// TestLogOverMessagePassingProtocols runs the log over the Paxos and Fast
-// Paxos baselines, exercising the per-slot message-kind multiplexing.
+// TestLogOverMessagePassingProtocols runs the log over the classic Paxos
+// baseline, the one message-passing slot backend, exercising the per-slot
+// message-kind multiplexing.
 func TestLogOverMessagePassingProtocols(t *testing.T) {
-	for _, protocol := range []core.Protocol{core.ProtocolPaxos, core.ProtocolFastPaxos} {
+	for _, protocol := range []core.Protocol{core.ProtocolPaxos} {
 		protocol := protocol
 		t.Run(string(protocol), func(t *testing.T) {
 			l := newTestLog(t, testOptions(protocol))
@@ -251,9 +253,11 @@ func TestLogOverMessagePassingProtocols(t *testing.T) {
 // TestUnsupportedProtocol checks the error path for single-shot-only
 // protocols.
 func TestUnsupportedProtocol(t *testing.T) {
-	_, err := NewLog(Options{Protocol: core.ProtocolDiskPaxos, Cluster: core.Options{Processes: 3, Memories: 3}})
-	if err == nil {
-		t.Fatalf("NewLog(disk-paxos) succeeded, want slot-multiplexing error")
+	for _, protocol := range []core.Protocol{core.ProtocolDiskPaxos, core.ProtocolFastPaxos} {
+		_, err := NewLog(Options{Protocol: protocol, Cluster: core.Options{Processes: 3, Memories: 3}})
+		if !errors.Is(err, types.ErrInvalidConfig) {
+			t.Fatalf("NewLog(%s) = %v, want ErrInvalidConfig", protocol, err)
+		}
 	}
 }
 

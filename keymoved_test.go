@@ -45,14 +45,7 @@ func TestKeyMovedErrorCarriesOwner(t *testing.T) {
 		t.Fatalf("AddShard: %v", err)
 	}
 
-	cmd, err := encodeKVCommand(key, "stale")
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	env, err := encodeEnvelope(shardEnvelope{Key: key, Cmd: cmd})
-	if err != nil {
-		t.Fatalf("envelope: %v", err)
-	}
+	env := encodeKeyed(key, encodeKVCommand(key, "stale"))
 	_, _, perr := kv.ShardLog(oldOwner).Propose(ctx, env)
 	if perr == nil {
 		t.Fatal("stale-routed propose succeeded, want KeyMovedError")

@@ -10,18 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// kvMagic tags every command replicated by ShardedKV. Entries appended to a
-// shard's log by other clients (raw Log.Propose) lack the tag and are
-// reported as foreign instead of being guessed at: before the tag existed,
-// any blob that happened to json.Unmarshal (`null`, `{}`) was silently
-// applied as a KV write. The trailing byte versions the wire format:
-// version 2 is the binary framing (magic | keylen uvarint | key | value),
-// version 1 the original JSON object, still decoded for entries already
-// committed by older code.
-var (
-	kvMagic     = []byte("rkv\x00\x02")
-	kvMagicJSON = []byte("rkv\x00\x01")
-)
+// kvMagic tags every command replicated by ShardedKV: the binary framing
+// magic | keylen uvarint | key | value. Entries appended to a shard's log by
+// other clients (raw Log.Propose) lack the tag and are reported as foreign
+// instead of being guessed at. The trailing byte versions the wire format;
+// it is 2 because version 1, a JSON object, is retired and no longer decodes.
+var kvMagic = []byte("rkv\x00\x02")
 
 // ErrForeignCommand is the response of the KV state machine to a committed
 // entry that does not carry the KV wire tag. The entry stays in the log
@@ -31,54 +25,40 @@ var ErrForeignCommand = errors.New("kv: committed entry is not a tagged KV comma
 
 // kvCommand is the state-machine operation replicated by ShardedKV.
 type kvCommand struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// kvResult is the machine's response to writes (the key's previous value) and
-// queries (the key's current value).
-type kvResult struct {
-	Found bool   `json:"found"`
-	Value string `json:"value"`
+	Key   string
+	Value string
 }
 
 //smrlint:noalloc
-func encodeKVCommand(key, value string) ([]byte, error) {
+func encodeKVCommand(key, value string) []byte {
 	out := make([]byte, 0, len(kvMagic)+binary.MaxVarintLen64+len(key)+len(value))
 	out = append(out, kvMagic...)
 	out = binary.AppendUvarint(out, uint64(len(key)))
 	out = append(out, key...)
 	out = append(out, value...)
-	return out, nil
+	return out
 }
 
-// decodeKVCommand rejects untagged blobs and decodes tagged ones — the
-// binary framing, or the legacy JSON object for pre-binary entries.
+// decodeKVCommand rejects untagged blobs and decodes tagged ones.
 func decodeKVCommand(raw []byte) (kvCommand, error) {
-	if bytes.HasPrefix(raw, kvMagic) {
-		rest := raw[len(kvMagic):]
-		klen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return kvCommand{}, fmt.Errorf("truncated KV key length")
-		}
-		rest = rest[n:]
-		if klen > uint64(len(rest)) {
-			return kvCommand{}, fmt.Errorf("KV key overruns payload")
-		}
-		return kvCommand{Key: string(rest[:klen]), Value: string(rest[klen:])}, nil
+	if !bytes.HasPrefix(raw, kvMagic) {
+		return kvCommand{}, fmt.Errorf("missing KV wire tag")
 	}
-	if bytes.HasPrefix(raw, kvMagicJSON) {
-		var cmd kvCommand
-		if err := json.Unmarshal(raw[len(kvMagicJSON):], &cmd); err != nil {
-			return kvCommand{}, err
-		}
-		return cmd, nil
+	rest := raw[len(kvMagic):]
+	klen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return kvCommand{}, fmt.Errorf("truncated KV key length")
 	}
-	return kvCommand{}, fmt.Errorf("missing KV wire tag")
+	rest = rest[n:]
+	if klen > uint64(len(rest)) {
+		return kvCommand{}, fmt.Errorf("KV key overruns payload")
+	}
+	return kvCommand{Key: string(rest[:klen]), Value: string(rest[klen:])}, nil
 }
 
-// encodeKVResult is the machine's response framing: one found byte plus the
-// value bytes. A legacy JSON response (always starting '{') stays decodable.
+// encodeKVResult is the machine's response to writes (the key's previous
+// value) and queries (the key's current value): one found byte, 0 or 1, plus
+// the value bytes.
 //
 //smrlint:noalloc
 func encodeKVResult(found bool, value string) []byte {
@@ -90,13 +70,6 @@ func encodeKVResult(found bool, value string) []byte {
 }
 
 func decodeKVResult(resp []byte) (string, bool, error) {
-	if len(resp) > 0 && resp[0] == '{' {
-		var res kvResult
-		if err := json.Unmarshal(resp, &res); err != nil {
-			return "", false, fmt.Errorf("kv: decode response: %w", err)
-		}
-		return res.Value, res.Found, nil
-	}
 	if len(resp) == 0 || resp[0] > 1 {
 		return "", false, fmt.Errorf("kv: decode response: not a KV result")
 	}
@@ -220,7 +193,7 @@ func NewShardedKV(opts ShardedKVOptions) (*ShardedKV, error) {
 		// Just the cheap tag check on the hot commit path (the hook runs on
 		// the committer): a tagged-but-malformed command is the proposer's
 		// bug, reported to them through Apply's ErrForeignCommand response.
-		if !bytes.HasPrefix(e.Cmd, kvMagic) && !bytes.HasPrefix(e.Cmd, kvMagicJSON) {
+		if !bytes.HasPrefix(e.Cmd, kvMagic) {
 			kv.foreign.Add(1)
 		}
 		if userHook != nil {
@@ -239,11 +212,7 @@ func NewShardedKV(opts ShardedKVOptions) (*ShardedKV, error) {
 // shard's name and the command's index in that shard's log. When Put returns,
 // the write is committed and applied on every live replica.
 func (kv *ShardedKV) Put(ctx context.Context, key, value string) (string, uint64, error) {
-	cmd, err := encodeKVCommand(key, value)
-	if err != nil {
-		return "", 0, fmt.Errorf("sharded kv: %w", err)
-	}
-	name, index, _, err := kv.s.Propose(ctx, key, cmd)
+	name, index, _, err := kv.s.Propose(ctx, key, encodeKVCommand(key, value))
 	if err != nil {
 		return name, index, fmt.Errorf("sharded kv: put %q: %w", key, err)
 	}

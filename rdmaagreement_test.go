@@ -216,6 +216,70 @@ func TestPublicAPIShardedKVLinearizableAndForeign(t *testing.T) {
 	}
 }
 
+// FuzzDecodeKVCommand holds the KV command decoder to reject-or-round-trip
+// on arbitrary bytes: it must never panic, and a command it accepts must
+// re-encode to a value that decodes to the same command.
+func FuzzDecodeKVCommand(f *testing.F) {
+	f.Add(encodeKVCommand("k/1", "v"))
+	f.Add(encodeKVCommand("", ""))
+	f.Add(encodeKVCommand("key", string(bytes.Repeat([]byte{0xff}, 300))))
+	// Seeds that must be rejected.
+	rejected := [][]byte{
+		[]byte(`rkv` + "\x00\x01" + `{"key":"k","value":"v"}`), // retired JSON command
+		[]byte("rkv\x00\x02"),      // tag, no key length
+		[]byte("rkv\x00\x02\x05k"), // key overruns payload
+		[]byte(`{"key":"k","value":"v"}`),
+		{},
+	}
+	for _, raw := range rejected {
+		if cmd, err := decodeKVCommand(raw); err == nil {
+			f.Fatalf("decodeKVCommand(%q) = %+v, want an error", raw, cmd)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cmd, err := decodeKVCommand(raw)
+		if err != nil {
+			return // rejected is fine; panicking is not
+		}
+		again, err := decodeKVCommand(encodeKVCommand(cmd.Key, cmd.Value))
+		if err != nil || again != cmd {
+			t.Fatalf("round trip of %+v = (%+v, %v)", cmd, again, err)
+		}
+	})
+}
+
+// FuzzDecodeKVResult holds the KV response decoder to reject-or-round-trip:
+// it must never panic, and a response it accepts must re-encode to exactly
+// the bytes it came from.
+func FuzzDecodeKVResult(f *testing.F) {
+	f.Add(encodeKVResult(true, "v"))
+	f.Add(encodeKVResult(false, ""))
+	// Seeds that must be rejected.
+	rejected := [][]byte{
+		[]byte(`{"found":true,"value":"v"}`), // retired JSON result
+		[]byte("\x02v"),                      // found byte out of range
+		{},
+	}
+	for _, raw := range rejected {
+		if v, found, err := decodeKVResult(raw); err == nil {
+			f.Fatalf("decodeKVResult(%q) = (%q, %v), want an error", raw, v, found)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v, found, err := decodeKVResult(raw)
+		if err != nil {
+			return
+		}
+		if again := encodeKVResult(found, v); !bytes.Equal(again, raw) {
+			t.Fatalf("decodeKVResult(%q) = (%q, %v), which re-encodes to %q", raw, v, found, again)
+		}
+	})
+}
+
 func TestPublicAPILifecycleErrors(t *testing.T) {
 	l, err := NewLog(LogOptions{Cluster: Options{Processes: 3, Memories: 3}})
 	if err != nil {

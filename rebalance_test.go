@@ -1,6 +1,7 @@
 package rdmaagreement
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -317,14 +318,7 @@ func TestOwnershipGateRefusesMovedKey(t *testing.T) {
 	// The race's stand-in: a write that routed to the old owner before the
 	// move but commits after it. Its entry commits, but the machine refuses
 	// it — deterministically, on every replica — instead of forking the key.
-	cmd, err := encodeKVCommand(key, "split-brain")
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	env, err := encodeEnvelope(shardEnvelope{Key: key, Cmd: cmd})
-	if err != nil {
-		t.Fatalf("envelope: %v", err)
-	}
+	env := encodeKeyed(key, encodeKVCommand(key, "split-brain"))
 	if _, _, err := kv.ShardLog(oldOwner).Propose(ctx, env); !errors.Is(err, ErrKeyMoved) {
 		t.Fatalf("stale-routed propose err = %v, want ErrKeyMoved", err)
 	}
@@ -343,6 +337,70 @@ func TestOwnershipGateRefusesMovedKey(t *testing.T) {
 	if v, _ := kv.Get(key); v != "after" {
 		t.Fatalf("Get after move = %q, want \"after\"", v)
 	}
+}
+
+// FuzzDecodeEnvelopeParts holds the shard envelope decoder to
+// reject-or-round-trip on arbitrary bytes: it must never panic, and an
+// envelope it accepts must re-encode to a value that decodes to the same
+// parts. Migration commands are JSON, so their check is that re-encoding is
+// stable: encode(decode(encode(m))) == encode(m).
+func FuzzDecodeEnvelopeParts(f *testing.F) {
+	f.Add(encodeKeyed("k/1", encodeKVCommand("k/1", "v")))
+	f.Add(encodeKeyed("", nil))
+	for _, m := range []migrateCmd{
+		{Out: true, Epoch: 1, Shards: []string{"shard-0", "shard-1"}, VNodes: 64, Group: "shard-0"},
+		{Epoch: 2, Shards: []string{"shard-0"}, VNodes: 64, Group: "shard-0", Source: "shard-1", Data: []byte(`{"k":"v"}`)},
+	} {
+		raw, err := encodeMigrate(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	// Seeds that must be rejected.
+	rejected := [][]byte{
+		[]byte("rshd\x00\x01" + `{"key":"k/1","cmd":"dg=="}`),                           // retired keyed JSON envelope
+		[]byte("rshd\x00\x01" + `{"migrate":{"out":true,"epoch":1,"group":"shard-0"}}`), // retired wrapped migration
+		[]byte("rshd\x00\x01" + `{"epoch":1,"group":"shard-0"}}`),                       // trailing bytes
+		[]byte("rshd\x00\x01"),
+		[]byte("rshb\x00\x01"),      // tag, no key length
+		[]byte("rshb\x00\x01\x05k"), // key overruns payload
+		[]byte("raw log payload"),
+	}
+	for _, raw := range rejected {
+		if key, cmd, mig, ok := decodeEnvelopeParts(raw); ok {
+			f.Fatalf("decodeEnvelopeParts(%q) = (%q, %q, %+v), want rejection", raw, key, cmd, mig)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		key, cmd, mig, ok := decodeEnvelopeParts(raw)
+		if !ok {
+			return // rejected is fine; panicking is not
+		}
+		if mig == nil {
+			k2, c2, m2, ok := decodeEnvelopeParts(encodeKeyed(string(key), cmd))
+			if !ok || m2 != nil || !bytes.Equal(k2, key) || !bytes.Equal(c2, cmd) {
+				t.Fatalf("keyed round trip of (%q, %q) = (%q, %q, %+v, %v)", key, cmd, k2, c2, m2, ok)
+			}
+			return
+		}
+		if key != nil || cmd != nil {
+			t.Fatalf("migration decoded with key %q and cmd %q", key, cmd)
+		}
+		first, err := encodeMigrate(*mig)
+		if err != nil {
+			t.Fatalf("encodeMigrate(%+v): %v", *mig, err)
+		}
+		_, _, m2, ok := decodeEnvelopeParts(first)
+		if !ok || m2 == nil {
+			t.Fatalf("re-encoded migration %q does not decode", first)
+		}
+		if second, err := encodeMigrate(*m2); err != nil || !bytes.Equal(second, first) {
+			t.Fatalf("migration re-encoding unstable: %q then %q (%v)", first, second, err)
+		}
+	})
 }
 
 // TestStaleReadSurvivesStalledLeader is the regression test for the stale-

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,20 +129,12 @@ type ShardedStats struct {
 // Two wire forms share the gate. Key-bound application payloads — the hot
 // path, one per Propose/Read — ride the binary framing under shardBinMagic
 // (magic | keylen uvarint | key | payload), decoded without allocation.
-// Migration commands, rare and structured, stay JSON under shardMagic, which
-// is also still decoded for envelopes committed by pre-binary code.
+// Migration commands, rare and structured, are a bare JSON migrateCmd under
+// shardMagic; they are the only JSON form on the command path.
 var (
 	shardMagic    = []byte("rshd\x00\x01")
 	shardBinMagic = []byte("rshb\x00\x01")
 )
-
-// shardEnvelope is the wire form of one sharded command or query: either an
-// application payload bound to its routing key, or a migration command.
-type shardEnvelope struct {
-	Key     string      `json:"key,omitempty"`
-	Cmd     []byte      `json:"cmd,omitempty"`
-	Migrate *migrateCmd `json:"migrate,omitempty"`
-}
 
 // migrateCmd is a rebalance step committed through a group's own log —
 // membership changes ride the logs they affect, the Chubby/ZooKeeper
@@ -178,28 +171,29 @@ type migrateResult struct {
 	Keys int    `json:"keys"`
 }
 
-func encodeEnvelope(env shardEnvelope) ([]byte, error) {
-	if env.Migrate == nil {
-		out := make([]byte, 0, len(shardBinMagic)+binary.MaxVarintLen64+len(env.Key)+len(env.Cmd))
-		out = append(out, shardBinMagic...)
-		out = binary.AppendUvarint(out, uint64(len(env.Key)))
-		out = append(out, env.Key...)
-		out = append(out, env.Cmd...)
-		return out, nil
-	}
-	blob, err := json.Marshal(env)
+// encodeKeyed binds an application payload to its routing key.
+func encodeKeyed(key string, cmd []byte) []byte {
+	out := make([]byte, 0, len(shardBinMagic)+binary.MaxVarintLen64+len(key)+len(cmd))
+	out = append(out, shardBinMagic...)
+	out = binary.AppendUvarint(out, uint64(len(key)))
+	out = append(out, key...)
+	return append(out, cmd...)
+}
+
+// encodeMigrate frames a migration command for its group's log.
+func encodeMigrate(m migrateCmd) ([]byte, error) {
+	blob, err := json.Marshal(m)
 	if err != nil {
-		return nil, fmt.Errorf("sharded: encode envelope: %w", err)
+		return nil, fmt.Errorf("sharded: encode migrate command: %w", err)
 	}
 	return append(append([]byte(nil), shardMagic...), blob...), nil
 }
 
-// decodeEnvelopeParts splits an enveloped payload into its routing key, the
-// inner payload, and (JSON envelopes only) a migration command. The returned
-// key and cmd alias raw for the binary framing — callers on the apply path
-// convert the key to a string only when they actually need one. ok=false
-// means raw carries neither tag: a raw log-level payload that bypasses the
-// gate.
+// decodeEnvelopeParts splits an enveloped payload into either its routing key
+// and inner payload (binary framing) or a migration command (JSON). The
+// returned key and cmd alias raw — callers on the apply path convert the key
+// to a string only when they actually need one. ok=false means raw carries
+// neither well-formed tag: a raw log-level payload that bypasses the gate.
 func decodeEnvelopeParts(raw []byte) (key, cmd []byte, mig *migrateCmd, ok bool) {
 	if bytes.HasPrefix(raw, shardBinMagic) {
 		rest := raw[len(shardBinMagic):]
@@ -214,11 +208,18 @@ func decodeEnvelopeParts(raw []byte) (key, cmd []byte, mig *migrateCmd, ok bool)
 		return rest[:klen:klen], rest[klen:], nil, true
 	}
 	if bytes.HasPrefix(raw, shardMagic) {
-		var env shardEnvelope
-		if err := json.Unmarshal(raw[len(shardMagic):], &env); err != nil {
+		// Strict: unknown fields (such as the retired keyed JSON envelope's
+		// "key"/"cmd") and trailing bytes are rejected, not ignored.
+		var m migrateCmd
+		dec := json.NewDecoder(bytes.NewReader(raw[len(shardMagic):]))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&m); err != nil {
 			return nil, nil, nil, false
 		}
-		return []byte(env.Key), env.Cmd, env.Migrate, true
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, nil, nil, false
+		}
+		return nil, nil, &m, true
 	}
 	return nil, nil, nil, false
 }
@@ -608,11 +609,11 @@ func (s *Sharded) withOwner(ctx context.Context, verb, key string, waitBound tim
 
 // envelopePayload wraps an application payload with its routing key when the
 // groups run the ownership gate; plain logs stay raw.
-func (s *Sharded) envelopePayload(key string, payload []byte) ([]byte, error) {
+func (s *Sharded) envelopePayload(key string, payload []byte) []byte {
 	if !s.envelope {
-		return payload, nil
+		return payload
 	}
-	return encodeEnvelope(shardEnvelope{Key: key, Cmd: payload})
+	return encodeKeyed(key, payload)
 }
 
 // Propose replicates cmd through the shard owning key and returns the shard's
@@ -622,10 +623,7 @@ func (s *Sharded) envelopePayload(key string, payload []byte) ([]byte, error) {
 // commits a refusal instead of a write and Propose transparently retries
 // against the new owner (counted in ShardedStats.Forwarded).
 func (s *Sharded) Propose(ctx context.Context, key string, cmd []byte) (string, uint64, []byte, error) {
-	payload, err := s.envelopePayload(key, cmd)
-	if err != nil {
-		return "", 0, nil, err
-	}
+	payload := s.envelopePayload(key, cmd)
 	var index uint64
 	var resp []byte
 	name, err := s.withOwner(ctx, "propose", key, 0, func(l *smr.Log) error {
@@ -669,12 +667,9 @@ func (s *Sharded) ownerLocked(key string) (name string, handedOff <-chan struct{
 // Read started — across rebalances too: once the key's new owner serves
 // reads, it has imported every write its old owner committed. See Log.Read.
 func (s *Sharded) Read(ctx context.Context, key string, query []byte) ([]byte, error) {
-	payload, err := s.envelopePayload(key, query)
-	if err != nil {
-		return nil, err
-	}
+	payload := s.envelopePayload(key, query)
 	var resp []byte
-	_, err = s.withOwner(ctx, "read", key, 0, func(l *smr.Log) error {
+	_, err := s.withOwner(ctx, "read", key, 0, func(l *smr.Log) error {
 		var err error
 		resp, err = l.Read(ctx, payload)
 		return err
@@ -714,12 +709,9 @@ func (s *Sharded) StaleReadContext(ctx context.Context, key string, query []byte
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	payload, err := s.envelopePayload(key, query)
-	if err != nil {
-		return nil, err
-	}
+	payload := s.envelopePayload(key, query)
 	var resp []byte
-	_, err = s.withOwner(ctx, "stale read", key, staleForwardWait, func(l *smr.Log) error {
+	_, err := s.withOwner(ctx, "stale read", key, staleForwardWait, func(l *smr.Log) error {
 		var err error
 		resp, err = l.LocalRead(payload)
 		return err
@@ -890,9 +882,9 @@ func (s *Sharded) handoff(ctx context.Context, mig *migration, src string) error
 		if _, err := srcLog.Barrier(ctx); err != nil {
 			return fmt.Errorf("sharded: barrier before migrating out of %s: %w", src, err)
 		}
-		out, err := encodeEnvelope(shardEnvelope{Migrate: &migrateCmd{
+		out, err := encodeMigrate(migrateCmd{
 			Out: true, Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(), Group: src,
-		}})
+		})
 		if err != nil {
 			return err
 		}
@@ -923,10 +915,10 @@ func (s *Sharded) handoff(ctx context.Context, mig *migration, src string) error
 		if destLog == nil {
 			return fmt.Errorf("sharded: import destination %s has no log", dest)
 		}
-		in, err := encodeEnvelope(shardEnvelope{Migrate: &migrateCmd{
+		in, err := encodeMigrate(migrateCmd{
 			Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(),
 			Group: dest, Source: src, Data: res.Data,
-		}})
+		})
 		if err != nil {
 			return err
 		}
@@ -947,9 +939,9 @@ func (s *Sharded) handoff(ctx context.Context, mig *migration, src string) error
 	// the outbox until the next rebalance). A group being removed skips it:
 	// its log closes in a moment anyway.
 	if src != mig.removed {
-		if ack, err := encodeEnvelope(shardEnvelope{Migrate: &migrateCmd{
+		if ack, err := encodeMigrate(migrateCmd{
 			Ack: true, Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(), Group: src,
-		}}); err == nil {
+		}); err == nil {
 			_, _, _ = proposeRetry(ictx, srcLog, ack)
 		}
 	}
