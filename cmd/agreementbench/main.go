@@ -1,86 +1,33 @@
 // Command agreementbench regenerates the experiment tables recorded in
 // EXPERIMENTS.md: the delay, resilience and signature-cost measurements that
 // reproduce the quantitative claims of "The Impact of RDMA on Agreement".
-//
-// It also benchmarks the replicated-log subsystem built on top of the paper's
-// protocols: -shards switches to throughput mode, which drives a sharded
-// key-value store over long-lived consensus groups and reports aggregate
-// appends/sec plus append latency percentiles; -pipeline sets the per-group
-// slot pipeline depth, -lease enables leader leases (linearizable reads then
-// serve locally while the lease is healthy, counted as lease vs barrier
-// reads), -failover stalls a lease holder after the workload and reports the
-// measured failover time, -rebalance adds a shard mid-workload and reports
-// the live handoff (moved keys, forwarded ops, throughput dip, lost/forked-
-// key audit), and -json writes the run's results as a machine-readable
-// record for CI. -compare gates two such records against each other on
-// appends/sec or, with -metric reads, on linearizable reads/sec (the
-// bench-smoke CI job uses both to fail on regressions, and additionally
-// floors the current run against the committed BENCH_baseline.json).
-//
-// Throughput and rebalance runs also report the slot-lifecycle stage
-// decomposition from the store's built-in metrics registry (batch wait →
-// agreement → commit wait → apply, plus queue-depth high-water marks and
-// allocations per committed op), both on stdout and in the -json record.
-// Profiling hooks: -cpuprofile/-memprofile/-trace-out write pprof/runtime-
-// trace artifacts for the run, and -metrics-addr serves a live debug HTTP
-// endpoint (/metrics Prometheus-style text, /debug/vars expvar,
-// /debug/pprof/ profiles) while the benchmark runs.
+// The replicated-log stack built on those protocols is measured by the bench/
+// module (bash bench/run.sh), not here.
 //
 // Usage:
 //
 //	agreementbench                   # run every experiment table
 //	agreementbench -table e1         # run a single experiment (e1..e6, e8, e9)
-//	agreementbench -shards 4         # sharded-log throughput, 4 groups
-//	agreementbench -shards 4 -batch 8 -ops 2000 -clients 64 -latency 1ms
-//	agreementbench -shards 2 -snap-interval 64   # snapshot-driven slot GC: report live regions
-//	agreementbench -shards 2 -reads 200          # read-index (linearizable) read latency
-//	agreementbench -shards 2 -reads 200 -lease 250ms   # lease-served linearizable reads
-//	agreementbench -shards 1 -lease 250ms -failover    # measured lease failover time
-//	agreementbench -shards 1 -pipeline 4 -json out.json   # pipelined commit, JSON record
-//	agreementbench -shards 2 -rebalance -json out.json    # live shard add: handoff + audit
-//	agreementbench -shards 1 -cpuprofile cpu.prof -memprofile mem.prof   # pprof artifacts
-//	agreementbench -shards 4 -metrics-addr localhost:6060   # live /metrics + /debug/pprof/
-//	agreementbench -compare base.json new.json   # exit 3 unless new appends faster than base
-//	agreementbench -compare -metric reads barrier.json lease.json   # gate on reads/sec
 //
-// Diagnostics and usage go to stderr; only results go to stdout. Exit codes
-// are distinct so CI can tell failure modes apart:
+// Diagnostics and usage go to stderr; only tables go to stdout. Exit codes:
 //
 //	0  success
-//	1  the benchmark failed to run (cluster error, commit failure, bad file)
-//	2  usage error (unknown flag, malformed invocation)
-//	3  -compare found a regression (the benchmarks ran fine; the numbers did not)
+//	1  an experiment failed to run, or -table named none
+//	2  usage error (stray arguments; flag.ExitOnError also exits 2 on a bad flag)
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	httppprof "net/http/pprof"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"rdmaagreement"
-	"rdmaagreement/internal/chaos"
 )
 
-// Exit codes. flag.ExitOnError also exits 2 on parse errors, matching
-// exitUsage.
 const (
-	exitOK         = 0
-	exitRuntime    = 1
-	exitUsage      = 2
-	exitRegression = 3
+	exitOK      = 0
+	exitRuntime = 1
+	exitUsage   = 2
 )
 
 func main() {
@@ -90,253 +37,17 @@ func main() {
 func run() int {
 	flag.CommandLine.SetOutput(os.Stderr)
 	table := flag.String("table", "all", "experiment to run (e1..e9, or 'all')")
-	shards := flag.Int("shards", 0, "run sharded-log throughput mode with this many groups (0 = experiment tables)")
-	batch := flag.Int("batch", 8, "throughput mode: max commands agreed as one slot value")
-	batchBytes := flag.Int("batch-bytes", 0, "throughput mode: byte budget per slot value for adaptive group commit (0 = smr default, negative disables)")
-	batchWait := flag.Duration("batch-wait", 0, "throughput mode: adaptive group-commit coalescing horizon — how long a non-full batch may wait for company (0 = cut immediately)")
-	warmup := flag.Float64("warmup", 0.1, "throughput mode: warmup puts as a fraction of -ops, committed before the measurement window opens so the allocator, pools and key maps settle")
-	ops := flag.Int("ops", 1000, "throughput mode: total puts to commit")
-	clients := flag.Int("clients", 32, "throughput mode: concurrent client goroutines")
-	latency := flag.Duration("latency", time.Millisecond, "throughput mode: simulated per-operation memory latency")
-	reads := flag.Int("reads", 0, "throughput mode: linearizable (read-index) reads to issue after the puts, reporting their latency")
-	snapInterval := flag.Int("snap-interval", 0, "throughput mode: per-group snapshot interval driving slot GC (0 = smr default, <0 disables)")
-	pipeline := flag.Int("pipeline", 0, "throughput mode: slots in flight per group (0 = smr default, 1 = serial commit)")
-	lease := flag.Duration("lease", 0, "throughput mode: leader lease duration per group (0 = leases disabled; linearizable reads then pay the read-index barrier)")
-	failover := flag.Bool("failover", false, "throughput mode: after the workload, stall one group's lease holder and report the measured failover time (requires -lease)")
-	rebalance := flag.Bool("rebalance", false, "throughput mode: mid-workload, add one shard under live traffic and report the handoff (moved keys, forwarded ops, throughput dip) plus a lost/forked-key audit")
-	netMode := flag.Bool("net", false, "throughput mode: serve the store through an in-process kvserver on loopback TCP and drive it with the ring-aware client (-clients concurrent connections); with -rebalance the shard add goes through the admin endpoint")
-	jsonPath := flag.String("json", "", "throughput mode: also write the results as JSON to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve a debug HTTP endpoint on this address while the benchmark runs: /metrics (Prometheus-style text), /debug/vars (expvar), /debug/pprof/ (profiles)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file (go tool pprof)")
-	traceOut := flag.String("trace-out", "", "write a runtime execution trace of the run to this file (go tool trace)")
-	chaosMode := flag.Bool("chaos", false, "run one seeded chaos schedule (fault injection + linearizability check) instead of a benchmark; composes with -shards, -clients, -latency, -lease, -net, -json")
-	chaosSeed := flag.Int64("seed", -1, "chaos mode: schedule seed; -1 picks one at random and prints it")
-	chaosWindow := flag.Duration("chaos-window", 0, "chaos mode: workload-and-fault window (0 = chaos default)")
-	compare := flag.Bool("compare", false, "compare two -json records (base, new): exit 3 unless new beats base on -metric by -min-speedup")
-	metric := flag.String("metric", "appends", "compare mode: which rate to gate on, 'appends' (appends/sec) or 'reads' (linearizable reads/sec)")
-	minSpeedup := flag.Float64("min-speedup", 1.0, "compare mode: required rate ratio new/base (1.0 = strictly faster)")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "agreementbench: -compare needs exactly two arguments: base.json new.json")
-			flag.Usage()
-			return exitUsage
-		}
-		if *metric != "appends" && *metric != "reads" {
-			fmt.Fprintf(os.Stderr, "agreementbench: unknown -metric %q (want 'appends' or 'reads')\n", *metric)
-			flag.Usage()
-			return exitUsage
-		}
-		return runCompare(flag.Arg(0), flag.Arg(1), *metric, *minSpeedup)
-	}
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "agreementbench: unexpected arguments: %v\n", flag.Args())
 		flag.Usage()
 		return exitUsage
 	}
-	if *chaosMode {
-		// Chaos brings its own defaults (shards, clients, window) and its own
-		// served mode, so the benchmark-specific flag couplings below do not
-		// apply. Violations are safety failures: exit 1.
-		return runChaosMode(chaosConfig(*chaosSeed, *chaosWindow, *shards, *clients, *latency, *lease, *netMode), *jsonPath)
-	}
-	if *failover && *lease <= 0 {
-		fmt.Fprintln(os.Stderr, "agreementbench: -failover requires -lease (there is no lease to expire without one)")
-		flag.Usage()
-		return exitUsage
-	}
-	if *rebalance && *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "agreementbench: -rebalance requires -shards (it adds one to a running sharded store)")
-		flag.Usage()
-		return exitUsage
-	}
-	if *netMode && *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "agreementbench: -net requires -shards (it serves a sharded store over TCP)")
-		flag.Usage()
-		return exitUsage
-	}
-	if *netMode && *failover {
-		fmt.Fprintln(os.Stderr, "agreementbench: -net does not support -failover (failover is measured in-process)")
-		flag.Usage()
-		return exitUsage
-	}
-
-	if *metricsAddr != "" {
-		stopMetrics, merr := serveMetrics(*metricsAddr)
-		if merr != nil {
-			fmt.Fprintf(os.Stderr, "agreementbench: %v\n", merr)
-			return exitRuntime
-		}
-		defer stopMetrics()
-	}
-	stopProfiles, err := startProfiles(*cpuprofile, *traceOut)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agreementbench: %v\n", err)
-		return exitRuntime
-	}
-
-	cfg := throughputConfig{
-		Shards:       *shards,
-		Batch:        *batch,
-		BatchBytes:   *batchBytes,
-		BatchWait:    *batchWait,
-		Warmup:       *warmup,
-		Ops:          *ops,
-		Clients:      *clients,
-		Latency:      *latency,
-		Reads:        *reads,
-		SnapInterval: *snapInterval,
-		Pipeline:     *pipeline,
-		Lease:        *lease,
-		Failover:     *failover,
-		Rebalance:    *rebalance,
-		Net:          *netMode,
-	}
-	switch {
-	case *netMode:
-		err = runNet(cfg, *jsonPath)
-	case *rebalance:
-		err = runRebalance(cfg, *jsonPath)
-	case *shards > 0:
-		err = runThroughput(cfg, *jsonPath)
-	default:
-		err = runTables(*table)
-	}
-	stopProfiles()
-	if *memprofile != "" {
-		if werr := writeHeapProfile(*memprofile); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
+	if err := runTables(*table); err != nil {
 		fmt.Fprintf(os.Stderr, "agreementbench: %v\n", err)
 		return exitRuntime
 	}
 	return exitOK
-}
-
-// liveRegistry is the metrics registry of the benchmark currently running, if
-// any, published to the -metrics-addr endpoint. The benchmark stores it once
-// its store is built; the HTTP handlers load it on every request so a scrape
-// before the store exists degrades gracefully instead of crashing.
-var liveRegistry atomic.Pointer[rdmaagreement.MetricsRegistry]
-
-// publishSMROnce guards the process-global expvar key: expvar.Publish panics
-// on duplicates, so repeated serveMetrics calls (tests, embedding) register
-// it exactly once. The mux and listener below are per-call and private.
-var publishSMROnce sync.Once
-
-// serveMetrics starts the debug HTTP endpoint: /metrics serves the live
-// registry as Prometheus-style text, /debug/vars is expvar (the registry is
-// published under the "smr" key), /debug/pprof/ the usual runtime profiles.
-// Everything is registered on a DEDICATED mux behind a private http.Server —
-// never http.DefaultServeMux, whose process-global registrations collided
-// with any other server in the process (the in-process kvserver of -net runs
-// next to this endpoint) and panicked on re-registration. The returned
-// shutdown function stops the listener gracefully.
-func serveMetrics(addr string) (shutdown func(), err error) {
-	publishSMROnce.Do(func() {
-		expvar.Publish("smr", expvar.Func(func() any {
-			reg := liveRegistry.Load()
-			if reg == nil {
-				return nil
-			}
-			return reg.Snapshot()
-		}))
-	})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		reg := liveRegistry.Load()
-		if reg == nil {
-			http.Error(w, "no benchmark running yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			fmt.Fprintf(os.Stderr, "agreementbench: /metrics write: %v\n", err)
-		}
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("metrics endpoint: %w", err)
-	}
-	srv := &http.Server{Handler: mux}
-	fmt.Fprintf(os.Stderr, "agreementbench: debug endpoint on http://%s/ (/metrics, /debug/vars, /debug/pprof/)\n", ln.Addr())
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "agreementbench: metrics endpoint: %v\n", err)
-		}
-	}()
-	return func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}, nil
-}
-
-// startProfiles begins CPU profiling and runtime tracing as requested and
-// returns the function that stops both (safe to call once, always non-nil).
-func startProfiles(cpuprofile, traceOut string) (stop func(), err error) {
-	var stops []func()
-	stop = func() {
-		for _, f := range stops {
-			f()
-		}
-	}
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return stop, fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, fmt.Errorf("cpuprofile: %w", err)
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			stop()
-			return func() {}, fmt.Errorf("trace-out: %w", err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			f.Close()
-			stop()
-			return func() {}, fmt.Errorf("trace-out: %w", err)
-		}
-		stops = append(stops, func() {
-			rtrace.Stop()
-			f.Close()
-		})
-	}
-	return stop, nil
-}
-
-// writeHeapProfile snapshots the heap after a GC so the profile reflects live
-// objects, not garbage the run already dropped.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
 }
 
 func runTables(which string) error {
@@ -364,854 +75,4 @@ func runOne(id string, runner func() (rdmaagreement.Table, error)) error {
 	}
 	fmt.Println(table.String())
 	return nil
-}
-
-// throughputConfig is one throughput run's knobs, echoed into the JSON record
-// so a comparison knows what it is comparing.
-type throughputConfig struct {
-	Shards       int           `json:"shards"`
-	Batch        int           `json:"batch"`
-	BatchBytes   int           `json:"batch_bytes,omitempty"`
-	BatchWait    time.Duration `json:"batch_wait_ns,omitempty"`
-	Warmup       float64       `json:"warmup_frac,omitempty"`
-	Ops          int           `json:"ops"`
-	Clients      int           `json:"clients"`
-	Latency      time.Duration `json:"latency_ns"`
-	Reads        int           `json:"reads"`
-	SnapInterval int           `json:"snap_interval"`
-	Pipeline     int           `json:"pipeline"`
-	Lease        time.Duration `json:"lease_ns"`
-	Failover     bool          `json:"failover"`
-	Rebalance    bool          `json:"rebalance"`
-	Net          bool          `json:"net,omitempty"`
-}
-
-// warmupOps is how many unmeasured puts precede the measurement window.
-func (c throughputConfig) warmupOps() int {
-	if c.Warmup <= 0 || c.Ops <= 0 {
-		return 0
-	}
-	return int(float64(c.Ops) * c.Warmup)
-}
-
-// benchLogOptions is the per-group log configuration every throughput mode
-// shares, so a flag added here reaches the in-process, rebalance and served
-// variants alike.
-func benchLogOptions(cfg throughputConfig) rdmaagreement.LogOptions {
-	return rdmaagreement.LogOptions{
-		Cluster:          rdmaagreement.Options{Processes: 3, Memories: 3, MemoryLatency: cfg.Latency, LeaseDuration: cfg.Lease},
-		MaxBatch:         cfg.Batch,
-		BatchBytes:       cfg.BatchBytes,
-		BatchWait:        cfg.BatchWait,
-		Pipeline:         cfg.Pipeline,
-		SnapshotInterval: cfg.SnapInterval,
-	}
-}
-
-// runWarmup commits the warmup fraction of the workload — same concurrency,
-// keys outside the measured key space — before the caller reads its memstats
-// baseline and opens the timing window. Steady-state costs (pool refills, map
-// growth already paid) then dominate the measured run instead of cold-start
-// noise, which is what makes small -ops invocations comparable.
-func runWarmup(cfg throughputConfig, put func(worker, i int) error) error {
-	n := cfg.warmupOps()
-	if n == 0 {
-		return nil
-	}
-	work := make(chan int)
-	errs := make(chan error, cfg.Clients)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := range work {
-				if err := put(c, i); err != nil {
-					errs <- err
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
-			}
-		}(c)
-	}
-producer:
-	for i := 0; i < n; i++ {
-		select {
-		case work <- i:
-		case <-stop:
-			break producer
-		}
-	}
-	close(work)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return fmt.Errorf("warmup put: %w", err)
-	}
-	return nil
-}
-
-// throughputResult is the machine-readable record -json writes and -compare
-// gates on.
-type throughputResult struct {
-	Config        throughputConfig `json:"config"`
-	ElapsedMS     float64          `json:"elapsed_ms"`
-	AppendsPerSec float64          `json:"appends_per_sec"`
-	AppendP50MS   float64          `json:"append_p50_ms"`
-	AppendP99MS   float64          `json:"append_p99_ms"`
-	Slots         uint64           `json:"slots"`
-	Snapshots     int              `json:"snapshots"`
-	LiveRegions   int              `json:"live_regions"`
-	LiveInstances int              `json:"live_instances"`
-	PeakInstances int              `json:"peak_instances"`
-	Recovered     uint64           `json:"recovered_slots"`
-	Refused       uint64           `json:"refused_noops"`
-	ReadsPerSec   float64          `json:"reads_per_sec,omitempty"`
-	ReadP50MS     float64          `json:"read_p50_ms,omitempty"`
-	ReadP99MS     float64          `json:"read_p99_ms,omitempty"`
-	LeaseReads    uint64           `json:"lease_reads"`
-	BarrierReads  uint64           `json:"barrier_reads"`
-	Epoch         uint64           `json:"lease_epoch,omitempty"`
-	Takeovers     uint64           `json:"lease_takeovers"`
-	// FailoverEpochMS is the span from stalling a lease holder to the
-	// successor's epoch being in force; FailoverCommitMS extends it to the
-	// first command committed under the new epoch.
-	FailoverEpochMS  float64 `json:"failover_epoch_ms,omitempty"`
-	FailoverCommitMS float64 `json:"failover_commit_ms,omitempty"`
-	// Rebalance audit (-rebalance): the AddShard handoff's span, the keys it
-	// migrated, the operations its moving ranges forwarded, the put rate in
-	// the sampling windows before/during/after it — and the safety audit,
-	// which must report zero lost and zero forked keys.
-	RebalanceHandoffMS  float64 `json:"rebalance_handoff_ms,omitempty"`
-	RebalanceMovedKeys  uint64  `json:"rebalance_moved_keys,omitempty"`
-	RebalanceForwarded  uint64  `json:"rebalance_forwarded_ops,omitempty"`
-	RebalanceRateBefore float64 `json:"rebalance_rate_before,omitempty"`
-	RebalanceRateDuring float64 `json:"rebalance_rate_during,omitempty"`
-	RebalanceRateAfter  float64 `json:"rebalance_rate_after,omitempty"`
-	RebalanceLostKeys   int     `json:"rebalance_lost_keys"`
-	RebalanceForkedKeys int     `json:"rebalance_forked_keys"`
-	// Served front-end (-net): requests the kvserver admitted, responses the
-	// driving clients never got an answer for (every retry budget exhausted —
-	// must be zero), and 503s the clients absorbed by retrying.
-	ServedOps     uint64 `json:"served_ops,omitempty"`
-	LostResponses int64  `json:"lost_responses"`
-	ShedResponses uint64 `json:"shed_503s,omitempty"`
-	// Slot-lifecycle stage decomposition from the store's metrics registry:
-	// where a committed command's end-to-end latency went (waiting to be
-	// batched, the agreement round, waiting for in-order release, apply),
-	// plus the queue-depth high-water marks and the run's heap allocations
-	// per committed op (whole-process, so client bookkeeping is included).
-	StageBatchWaitP50MS  float64 `json:"stage_batch_wait_p50_ms"`
-	StageBatchWaitP99MS  float64 `json:"stage_batch_wait_p99_ms"`
-	StageAgreementP50MS  float64 `json:"stage_agreement_p50_ms"`
-	StageAgreementP99MS  float64 `json:"stage_agreement_p99_ms"`
-	StageCommitWaitP50MS float64 `json:"stage_commit_wait_p50_ms"`
-	StageCommitWaitP99MS float64 `json:"stage_commit_wait_p99_ms"`
-	StageApplyP50MS      float64 `json:"stage_apply_p50_ms"`
-	StageApplyP99MS      float64 `json:"stage_apply_p99_ms"`
-	StageE2EP50MS        float64 `json:"stage_e2e_p50_ms"`
-	StageE2EP99MS        float64 `json:"stage_e2e_p99_ms"`
-	QueueDepthPeak       int64   `json:"queue_depth_peak"`
-	InflightSlotsPeak    int64   `json:"inflight_slots_peak"`
-	ReorderDepthPeak     int64   `json:"reorder_depth_peak"`
-	// Adaptive group commit's chosen batch sizes (commands per cut batch).
-	BatchSizeMean float64 `json:"batch_size_mean"`
-	BatchSizeP50  float64 `json:"batch_size_p50"`
-	BatchSizeP99  float64 `json:"batch_size_p99"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-}
-
-// fillObservability folds the store's slot-lifecycle metrics and the run's
-// allocation deltas into the record and prints the stage breakdown. before /
-// after bracket the put workload; ops normalizes the allocation deltas.
-func fillObservability(r *throughputResult, m rdmaagreement.LogMetrics, before, after runtime.MemStats, ops int) {
-	r.StageBatchWaitP50MS, r.StageBatchWaitP99MS = millis(m.BatchWait.P50), millis(m.BatchWait.P99)
-	r.StageAgreementP50MS, r.StageAgreementP99MS = millis(m.Agreement.P50), millis(m.Agreement.P99)
-	r.StageCommitWaitP50MS, r.StageCommitWaitP99MS = millis(m.CommitWait.P50), millis(m.CommitWait.P99)
-	r.StageApplyP50MS, r.StageApplyP99MS = millis(m.Apply.P50), millis(m.Apply.P99)
-	r.StageE2EP50MS, r.StageE2EP99MS = millis(m.EndToEnd.P50), millis(m.EndToEnd.P99)
-	r.QueueDepthPeak = m.QueueDepth.Peak
-	r.InflightSlotsPeak = m.InflightSlots.Peak
-	r.ReorderDepthPeak = m.ReorderDepth.Peak
-	r.BatchSizeMean = m.BatchSize.Mean
-	r.BatchSizeP50, r.BatchSizeP99 = m.BatchSize.P50, m.BatchSize.P99
-	if ops > 0 {
-		r.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(ops)
-		r.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
-	}
-	fmt.Printf("  stages (p50/p99): batch-wait %.3f/%.3fms, agreement %.3f/%.3fms, commit-wait %.3f/%.3fms, apply %.3f/%.3fms — e2e %.3f/%.3fms\n",
-		r.StageBatchWaitP50MS, r.StageBatchWaitP99MS,
-		r.StageAgreementP50MS, r.StageAgreementP99MS,
-		r.StageCommitWaitP50MS, r.StageCommitWaitP99MS,
-		r.StageApplyP50MS, r.StageApplyP99MS,
-		r.StageE2EP50MS, r.StageE2EP99MS)
-	fmt.Printf("  depth peaks: queue %d, inflight slots %d, reorder buffer %d; batch size mean %.1f (p50 %.0f / p99 %.0f); allocations %.0f/op (%.0f B/op)\n",
-		r.QueueDepthPeak, r.InflightSlotsPeak, r.ReorderDepthPeak,
-		r.BatchSizeMean, r.BatchSizeP50, r.BatchSizeP99, r.AllocsPerOp, r.BytesPerOp)
-}
-
-// runThroughput drives a sharded KV over long-lived replicated-log groups and
-// reports aggregate throughput, append latency percentiles, per-group
-// batching statistics, the snapshot/slot-GC footprint, pipeline/recovery
-// counters and (with -reads) linearizable read latency.
-func runThroughput(cfg throughputConfig, jsonPath string) error {
-	logOpts := benchLogOptions(cfg)
-	if cfg.Failover {
-		// The first slot committed after a takeover waits one replica
-		// catch-up window for the dead leader's learner; bound it by the
-		// lease so the reported failover time measures the protocol, not a
-		// 5-second default.
-		logOpts.ReplicaCatchUp = 2 * cfg.Lease
-	}
-	kv, err := rdmaagreement.NewShardedKV(rdmaagreement.ShardedKVOptions{
-		Shards: cfg.Shards,
-		Log:    logOpts,
-	})
-	if err != nil {
-		return err
-	}
-	defer kv.Close()
-	liveRegistry.Store(kv.Registry())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-
-	if err := runWarmup(cfg, func(_, i int) error {
-		_, _, err := kv.Put(ctx, fmt.Sprintf("warm/%d", i), "w")
-		return err
-	}); err != nil {
-		return err
-	}
-
-	work := make(chan int)
-	errs := make(chan error, cfg.Clients)
-	stop := make(chan struct{}) // closed on the first Put error so the producer never blocks on dead workers
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
-	perClient := make([][]time.Duration, cfg.Clients)
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := range work {
-				t0 := time.Now()
-				if _, _, err := kv.Put(ctx, fmt.Sprintf("key/%d", i), fmt.Sprintf("v%d", i)); err != nil {
-					errs <- err
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
-				perClient[c] = append(perClient[c], time.Since(t0))
-			}
-		}(c)
-	}
-producer:
-	for i := 0; i < cfg.Ops; i++ {
-		select {
-		case work <- i:
-		case <-stop:
-			break producer
-		}
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	close(errs)
-	for err := range errs {
-		return fmt.Errorf("throughput put: %w", err)
-	}
-
-	var appendLat []time.Duration
-	for _, lats := range perClient {
-		appendLat = append(appendLat, lats...)
-	}
-	sort.Slice(appendLat, func(i, j int) bool { return appendLat[i] < appendLat[j] })
-
-	result := throughputResult{
-		Config:        cfg,
-		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
-		AppendsPerSec: float64(cfg.Ops) / elapsed.Seconds(),
-		AppendP50MS:   millis(percentile(appendLat, 50)),
-		AppendP99MS:   millis(percentile(appendLat, 99)),
-	}
-
-	fmt.Printf("sharded-log throughput — %d groups, %d clients, batch ≤ %d, pipeline %s, memory latency %s, lease %s\n",
-		cfg.Shards, cfg.Clients, cfg.Batch, pipelineLabel(cfg.Pipeline), cfg.Latency, leaseLabel(cfg.Lease))
-	fmt.Printf("  committed %d puts in %s: %.0f appends/sec aggregate, latency p50 %s / p99 %s\n",
-		cfg.Ops, elapsed.Round(time.Millisecond), result.AppendsPerSec,
-		percentile(appendLat, 50).Round(time.Microsecond), percentile(appendLat, 99).Round(time.Microsecond))
-	var slots uint64
-	for _, name := range kv.Shards() {
-		l := kv.ShardLog(name)
-		slots += l.Slots()
-		avg := 0.0
-		if l.Slots() > 0 {
-			avg = float64(l.Len()) / float64(l.Slots())
-		}
-		fmt.Printf("  %s: %d entries over %d slots (%.1f cmds/slot)\n", name, l.Len(), l.Slots(), avg)
-	}
-	if slots > 0 {
-		fmt.Printf("  batching amortization: %.1f commands per consensus slot overall\n", float64(cfg.Ops)/float64(slots))
-	}
-	result.Slots = slots
-
-	var firstIndex uint64
-	for _, name := range kv.Shards() {
-		l := kv.ShardLog(name)
-		result.Snapshots += l.Snapshots()
-		result.LiveRegions += l.Cluster().LiveRegions()
-		result.LiveInstances += l.Cluster().LiveInstances()
-		result.PeakInstances += l.Cluster().PeakInstances()
-		firstIndex += l.FirstIndex()
-	}
-	fmt.Printf("  slot GC: %d snapshots, %d entries truncated, %d live memory regions for %d total slots\n",
-		result.Snapshots, firstIndex, result.LiveRegions, slots)
-	stats := kv.Stats()
-	result.Recovered, result.Refused = stats.Recovered, stats.Refused
-	fmt.Printf("  pipeline: %d peak concurrent slot instances; recovery: %d slots recovered (%d refused no-ops)\n",
-		result.PeakInstances, stats.Recovered, stats.Refused)
-	fillObservability(&result, kv.Metrics(), memBefore, memAfter, cfg.Ops)
-
-	if cfg.Reads > 0 {
-		keySpace := cfg.Ops
-		if keySpace < 1 {
-			keySpace = 1 // reads-only invocation (-ops 0): probe one key
-		}
-		readLat := make([]time.Duration, 0, cfg.Reads)
-		readStart := time.Now()
-		for i := 0; i < cfg.Reads; i++ {
-			key := fmt.Sprintf("key/%d", i%keySpace)
-			t0 := time.Now()
-			if _, _, err := kv.GetLinearizable(ctx, key); err != nil {
-				return fmt.Errorf("linearizable read: %w", err)
-			}
-			readLat = append(readLat, time.Since(t0))
-		}
-		readElapsed := time.Since(readStart)
-		sort.Slice(readLat, func(i, j int) bool { return readLat[i] < readLat[j] })
-		var sum time.Duration
-		for _, d := range readLat {
-			sum += d
-		}
-		result.ReadsPerSec = float64(cfg.Reads) / readElapsed.Seconds()
-		result.ReadP50MS = millis(percentile(readLat, 50))
-		result.ReadP99MS = millis(percentile(readLat, 99))
-		fmt.Printf("  linearizable reads: %d in %s (%.0f reads/sec), latency mean %s / p50 %s / p99 %s\n",
-			cfg.Reads, readElapsed.Round(time.Millisecond), result.ReadsPerSec,
-			(sum / time.Duration(cfg.Reads)).Round(time.Microsecond),
-			percentile(readLat, 50).Round(time.Microsecond),
-			percentile(readLat, 99).Round(time.Microsecond))
-	}
-
-	if cfg.Failover {
-		// Stall the first shard's lease holder and time the takeover: to the
-		// successor's epoch being in force, and to the first command
-		// committed under it (through a probe key owned by that shard).
-		name := kv.Shards()[0]
-		l := kv.ShardLog(name)
-		old := l.Cluster().LeaseHolder()
-		epochBefore := l.Cluster().LeaseEpoch()
-		probe := ""
-		for i := 0; ; i++ {
-			if key := fmt.Sprintf("failover-probe/%d", i); kv.Shard(key) == name {
-				probe = key
-				break
-			}
-		}
-		t0 := time.Now()
-		l.Cluster().CrashProcess(old)
-		for l.Cluster().LeaseEpoch() == epochBefore {
-			if ctx.Err() != nil {
-				return fmt.Errorf("failover: no takeover before the deadline")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		epochAt := time.Since(t0)
-		if _, _, err := kv.Put(ctx, probe, "takeover"); err != nil {
-			return fmt.Errorf("failover probe put: %w", err)
-		}
-		commitAt := time.Since(t0)
-		result.FailoverEpochMS = millis(epochAt)
-		result.FailoverCommitMS = millis(commitAt)
-		fmt.Printf("  failover: stalled %s's leader %s; epoch %d in force after %s, first commit under it after %s\n",
-			name, old, l.Cluster().LeaseEpoch(), epochAt.Round(time.Millisecond), commitAt.Round(time.Millisecond))
-	}
-
-	leaseStats := kv.Stats()
-	result.LeaseReads, result.BarrierReads = leaseStats.LeaseReads, leaseStats.BarrierReads
-	result.Epoch, result.Takeovers = leaseStats.Epoch, leaseStats.Takeovers
-	if cfg.Reads > 0 {
-		fmt.Printf("  read paths: %d lease-served (zero slots), %d barrier (read-index slot)\n",
-			leaseStats.LeaseReads, leaseStats.BarrierReads)
-	}
-
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encode result: %w", err)
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-	}
-	return nil
-}
-
-// runRebalance drives a continuous put workload over a sharded KV and, once
-// ~40% of the ops have committed, grows the ring by one shard under the live
-// traffic. It reports the handoff's span, the keys it migrated, the
-// operations forwarded to new owners, the put rate before/during/after the
-// handoff (the throughput dip), and a safety audit: every acknowledged key
-// must still be readable with its value (no lost keys) and live in exactly
-// one group's machine (no forked keys).
-func runRebalance(cfg throughputConfig, jsonPath string) error {
-	kv, err := rdmaagreement.NewShardedKV(rdmaagreement.ShardedKVOptions{
-		Shards: cfg.Shards,
-		Log:    benchLogOptions(cfg),
-	})
-	if err != nil {
-		return err
-	}
-	defer kv.Close()
-	liveRegistry.Store(kv.Registry())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-
-	if err := runWarmup(cfg, func(_, i int) error {
-		_, _, err := kv.Put(ctx, fmt.Sprintf("warm/%d", i), "w")
-		return err
-	}); err != nil {
-		return err
-	}
-
-	var (
-		committed atomic.Int64
-		ackedMu   sync.Mutex
-		acked     = make(map[string]string, cfg.Ops)
-	)
-
-	// Sampler: the committed count every 100ms, so the handoff window's rate
-	// can be compared against steady state.
-	samples := []sample{}
-	sampleStop := make(chan struct{})
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sampleStop:
-				return
-			case at := <-tick.C:
-				samples = append(samples, sample{at: at, n: committed.Load()})
-			}
-		}
-	}()
-
-	// Rebalancer: once 40% of the ops have committed, add one shard.
-	newShard := fmt.Sprintf("shard-%d", cfg.Shards)
-	var (
-		rebalanceErr           error
-		handoffFrom, handoffTo time.Time
-		rebalancerWG           sync.WaitGroup
-	)
-	workloadDone := make(chan struct{})
-	rebalancerWG.Add(1)
-	go func() {
-		defer rebalancerWG.Done()
-		trigger := int64(cfg.Ops * 2 / 5)
-		for committed.Load() < trigger {
-			select {
-			case <-workloadDone:
-				return // the workload outran the trigger; rebalance on quiet traffic below
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-		handoffFrom = time.Now()
-		rebalanceErr = kv.AddShard(ctx, newShard)
-		handoffTo = time.Now()
-	}()
-
-	work := make(chan int)
-	errs := make(chan error, cfg.Clients)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
-	perClient := make([][]time.Duration, cfg.Clients)
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := range work {
-				key, value := fmt.Sprintf("key/%d", i), fmt.Sprintf("v%d", i)
-				t0 := time.Now()
-				if _, _, err := kv.Put(ctx, key, value); err != nil {
-					errs <- err
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
-				perClient[c] = append(perClient[c], time.Since(t0))
-				committed.Add(1)
-				ackedMu.Lock()
-				acked[key] = value
-				ackedMu.Unlock()
-			}
-		}(c)
-	}
-producer:
-	for i := 0; i < cfg.Ops; i++ {
-		select {
-		case work <- i:
-		case <-stop:
-			break producer
-		}
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	close(workloadDone)
-	rebalancerWG.Wait()
-	close(sampleStop)
-	samplerWG.Wait()
-	close(errs)
-	for err := range errs {
-		return fmt.Errorf("rebalance put: %w", err)
-	}
-	if handoffFrom.IsZero() {
-		// The workload never reached the trigger (tiny -ops): hand off on
-		// quiet traffic so the audit still runs.
-		handoffFrom = time.Now()
-		rebalanceErr = kv.AddShard(ctx, newShard)
-		handoffTo = time.Now()
-	}
-	if rebalanceErr != nil {
-		return fmt.Errorf("AddShard(%s) under live traffic: %w", newShard, rebalanceErr)
-	}
-
-	var appendLat []time.Duration
-	for _, lats := range perClient {
-		appendLat = append(appendLat, lats...)
-	}
-	sort.Slice(appendLat, func(i, j int) bool { return appendLat[i] < appendLat[j] })
-
-	stats := kv.Stats()
-	result := throughputResult{
-		Config:             cfg,
-		ElapsedMS:          float64(elapsed) / float64(time.Millisecond),
-		AppendsPerSec:      float64(cfg.Ops) / elapsed.Seconds(),
-		AppendP50MS:        millis(percentile(appendLat, 50)),
-		AppendP99MS:        millis(percentile(appendLat, 99)),
-		Recovered:          stats.Recovered,
-		Refused:            stats.Refused,
-		Epoch:              stats.Epoch,
-		Takeovers:          stats.Takeovers,
-		RebalanceHandoffMS: millis(handoffTo.Sub(handoffFrom)),
-		RebalanceMovedKeys: stats.Migrated,
-		RebalanceForwarded: stats.Forwarded,
-	}
-	result.RebalanceRateBefore, result.RebalanceRateDuring, result.RebalanceRateAfter =
-		windowRates(samples, handoffFrom, handoffTo)
-	for _, name := range kv.Shards() {
-		l := kv.ShardLog(name)
-		result.Slots += l.Slots()
-		result.Snapshots += l.Snapshots()
-		result.LiveRegions += l.Cluster().LiveRegions()
-		result.LiveInstances += l.Cluster().LiveInstances()
-		result.PeakInstances += l.Cluster().PeakInstances()
-	}
-
-	// Safety audit: no acknowledged key lost, none forked across groups. The
-	// per-group probe is a RAW (untagged) query, which bypasses the routing
-	// layer and the ownership gate and therefore sees each machine's true
-	// contents, hidden ceded state included.
-	for key, want := range acked {
-		if v, ok, err := kv.GetLinearizable(ctx, key); err != nil || !ok || v != want {
-			result.RebalanceLostKeys++
-			continue
-		}
-		homes := 0
-		for _, name := range kv.Shards() {
-			resp, err := kv.ShardLog(name).Read(ctx, []byte(key))
-			if err != nil {
-				return fmt.Errorf("audit read of %q on %s: %w", key, name, err)
-			}
-			_, found, err := rdmaagreement.DecodeKVResult(resp)
-			if err != nil {
-				return fmt.Errorf("audit read of %q on %s: %w", key, name, err)
-			}
-			if found {
-				homes++
-			}
-		}
-		if homes > 1 {
-			result.RebalanceForkedKeys++
-		}
-	}
-
-	fmt.Printf("live rebalance — %d→%d groups, %d clients, batch ≤ %d, memory latency %s, lease %s\n",
-		cfg.Shards, cfg.Shards+1, cfg.Clients, cfg.Batch, cfg.Latency, leaseLabel(cfg.Lease))
-	fmt.Printf("  committed %d puts in %s (%.0f appends/sec aggregate, latency p50 %s / p99 %s); AddShard(%s) took %s mid-workload\n",
-		cfg.Ops, elapsed.Round(time.Millisecond), result.AppendsPerSec,
-		percentile(appendLat, 50).Round(time.Microsecond), percentile(appendLat, 99).Round(time.Microsecond),
-		newShard, handoffTo.Sub(handoffFrom).Round(time.Millisecond))
-	fmt.Printf("  handoff: %d keys migrated (≈1/%d of the key space expected), %d ops forwarded to new owners\n",
-		result.RebalanceMovedKeys, cfg.Shards+1, result.RebalanceForwarded)
-	if result.RebalanceRateBefore > 0 && result.RebalanceRateDuring > 0 {
-		fmt.Printf("  throughput: %.0f puts/sec before, %.0f during the handoff (%.0f%% dip), %.0f after\n",
-			result.RebalanceRateBefore, result.RebalanceRateDuring,
-			100*(1-result.RebalanceRateDuring/result.RebalanceRateBefore), result.RebalanceRateAfter)
-	}
-	fmt.Printf("  audit: %d acked keys checked — %d lost, %d forked\n",
-		len(acked), result.RebalanceLostKeys, result.RebalanceForkedKeys)
-	for _, name := range kv.Shards() {
-		l := kv.ShardLog(name)
-		fmt.Printf("  %s: %d entries over %d slots\n", name, l.Len(), l.Slots())
-	}
-	fillObservability(&result, kv.Metrics(), memBefore, memAfter, cfg.Ops)
-
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encode result: %w", err)
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-	}
-	if result.RebalanceLostKeys > 0 || result.RebalanceForkedKeys > 0 {
-		return fmt.Errorf("rebalance audit failed: %d lost, %d forked keys", result.RebalanceLostKeys, result.RebalanceForkedKeys)
-	}
-	return nil
-}
-
-// sample is one sampler reading: the cumulative committed count at an
-// instant.
-type sample struct {
-	at time.Time
-	n  int64
-}
-
-// windowRates turns the sampler's cumulative counts into put rates for the
-// spans before, during and after the handoff: mean rate over the fully-before
-// and fully-after windows, MINIMUM windowed rate during (the dip is the
-// point). Phases without a complete sampling window report 0.
-func windowRates(samples []sample, from, to time.Time) (before, during, after float64) {
-	var (
-		beforeOps, afterOps int64
-		beforeDur, afterDur time.Duration
-		duringMin           = -1.0
-	)
-	for i := 1; i < len(samples); i++ {
-		prev, cur := samples[i-1], samples[i]
-		dt := cur.at.Sub(prev.at)
-		if dt <= 0 {
-			continue
-		}
-		rate := float64(cur.n-prev.n) / dt.Seconds()
-		switch {
-		case !cur.at.After(from):
-			beforeOps += cur.n - prev.n
-			beforeDur += dt
-		case !prev.at.Before(to):
-			afterOps += cur.n - prev.n
-			afterDur += dt
-		default:
-			if duringMin < 0 || rate < duringMin {
-				duringMin = rate
-			}
-		}
-	}
-	if beforeDur > 0 {
-		before = float64(beforeOps) / beforeDur.Seconds()
-	}
-	if afterDur > 0 {
-		after = float64(afterOps) / afterDur.Seconds()
-	}
-	if duringMin >= 0 {
-		during = duringMin
-	}
-	return before, during, after
-}
-
-func pipelineLabel(pipeline int) string {
-	if pipeline == 0 {
-		return "default"
-	}
-	return fmt.Sprintf("%d", pipeline)
-}
-
-func leaseLabel(lease time.Duration) string {
-	if lease <= 0 {
-		return "off"
-	}
-	return lease.String()
-}
-
-// percentile returns the p-th percentile of sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := len(sorted) * p / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// runCompare gates one throughput record against another on the chosen
-// metric — appends/sec, or linearizable reads/sec with -metric reads (how CI
-// asserts lease reads beat the read-index path). It exits with
-// exitRegression when the new record does not beat the base by minSpeedup.
-// Runtime problems (unreadable files, zero rates, records without the
-// metric) are exitRuntime — a bench that failed to run is a different signal
-// than a bench that ran slower.
-func runCompare(basePath, newPath, metric string, minSpeedup float64) int {
-	base, err := readResult(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agreementbench: %v\n", err)
-		return exitRuntime
-	}
-	new_, err := readResult(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agreementbench: %v\n", err)
-		return exitRuntime
-	}
-	baseRate, basePct := base.AppendsPerSec, base.AppendP99MS
-	newRate, newPct := new_.AppendsPerSec, new_.AppendP99MS
-	unit := "appends/sec"
-	if metric == "reads" {
-		baseRate, basePct = base.ReadsPerSec, base.ReadP99MS
-		newRate, newPct = new_.ReadsPerSec, new_.ReadP99MS
-		unit = "reads/sec"
-	}
-	if baseRate <= 0 || newRate <= 0 {
-		fmt.Fprintf(os.Stderr, "agreementbench: compare: non-positive %s (base %.2f, new %.2f) — was the metric recorded?\n",
-			unit, baseRate, newRate)
-		return exitRuntime
-	}
-	ratio := newRate / baseRate
-	fmt.Printf("compare: base %.0f %s (p99 %.2fms) vs new %.0f %s (p99 %.2fms): %.2fx (need > %.2fx)\n",
-		baseRate, unit, basePct, newRate, unit, newPct, ratio, minSpeedup)
-	if ratio <= minSpeedup {
-		fmt.Fprintf(os.Stderr, "agreementbench: regression: %s is not faster than %s on %s (%.2fx <= %.2fx)\n",
-			newPath, basePath, unit, ratio, minSpeedup)
-		return exitRegression
-	}
-	return exitOK
-}
-
-func readResult(path string) (throughputResult, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return throughputResult{}, fmt.Errorf("compare: %w", err)
-	}
-	var res throughputResult
-	if err := json.Unmarshal(blob, &res); err != nil {
-		return throughputResult{}, fmt.Errorf("compare %s: %w", path, err)
-	}
-	return res, nil
-}
-
-// chaosConfig maps the benchmark's shared flags onto a chaos run.
-func chaosConfig(seed int64, window time.Duration, shards, clients int, latency, lease time.Duration, netMode bool) chaos.Config {
-	if seed < 0 {
-		seed = time.Now().UnixNano() & 0x7fffffff
-		fmt.Fprintf(os.Stderr, "agreementbench: -chaos picked seed %d\n", seed)
-	}
-	return chaos.Config{
-		Seed:    seed,
-		Shards:  shards,
-		Clients: clients,
-		Window:  window,
-		Latency: latency,
-		Lease:   lease,
-		Served:  netMode,
-		Out:     os.Stderr,
-	}
-}
-
-// chaosRecord is the -json shape of a chaos run, mirroring the human-readable
-// verdict line.
-type chaosRecord struct {
-	Seed          int64          `json:"seed"`
-	Window        string         `json:"window"`
-	Ops           int            `json:"ops"`
-	Puts          int            `json:"puts"`
-	Gets          int            `json:"gets"`
-	Dropped       int            `json:"dropped"`
-	Unknown       int            `json:"unknown"`
-	Faults        map[string]int `json:"faults"`
-	Takeovers     uint64         `json:"takeovers"`
-	CheckMS       float64        `json:"check_ms"`
-	Linearizable  bool           `json:"linearizable"`
-	ViolatingKeys []string       `json:"violating_keys,omitempty"`
-	Repro         string         `json:"repro"`
-}
-
-// runChaosMode runs one seeded chaos schedule and reports the verdict. A
-// linearizability violation is a safety failure and exits 1 — the run
-// completed; the store broke its contract.
-func runChaosMode(cfg chaos.Config, jsonPath string) int {
-	res, err := chaos.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agreementbench: chaos: %v\nrepro: %s\n", err, cfg.ReproLine())
-		return exitRuntime
-	}
-	record := chaosRecord{
-		Seed:         res.Config.Seed,
-		Window:       res.Config.Window.String(),
-		Ops:          res.Ops,
-		Puts:         res.Puts,
-		Gets:         res.Gets,
-		Dropped:      res.Dropped,
-		Unknown:      res.Unknown,
-		Faults:       res.Faults,
-		Takeovers:    res.Takeovers,
-		CheckMS:      float64(res.CheckDuration.Microseconds()) / 1000,
-		Linearizable: res.Linearizable,
-		Repro:        res.Config.ReproLine(),
-	}
-	for _, v := range res.Violations {
-		record.ViolatingKeys = append(record.ViolatingKeys, v.Key)
-	}
-	if jsonPath != "" {
-		blob, jerr := json.MarshalIndent(record, "", "  ")
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "agreementbench: chaos: %v\n", jerr)
-			return exitRuntime
-		}
-		if werr := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "agreementbench: chaos: write %s: %v\n", jsonPath, werr)
-			return exitRuntime
-		}
-	}
-	if !res.Linearizable {
-		fmt.Printf("FAIL chaos seed=%d: history not linearizable (%d violating keys)\nrepro: %s\n",
-			res.Config.Seed, len(res.Violations), cfg.ReproLine())
-		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, v.Report())
-		}
-		return exitRuntime
-	}
-	fmt.Printf("PASS chaos seed=%d ops=%d unknown=%d takeovers=%d check=%s\n",
-		res.Config.Seed, res.Ops, res.Unknown, res.Takeovers, res.CheckDuration.Round(time.Millisecond))
-	return exitOK
 }

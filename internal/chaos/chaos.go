@@ -45,15 +45,12 @@ type Config struct {
 	// Lease is the leader-lease duration (0 disables leases and with them
 	// the stall fault). Default 150ms.
 	Lease time.Duration
-	// Batch and Pipeline configure each shard's log; zero keeps the smr
-	// defaults.
-	Batch, Pipeline int
-	// BatchBytes and BatchWait configure adaptive group commit per shard
-	// log (see smr.Options); zero keeps the smr defaults. A small Batch
-	// with a non-zero BatchWait drives every cut to the count budget, the
-	// boundary the displacement path re-dispatches whole.
-	BatchBytes int
-	BatchWait  time.Duration
+	// Batch and BatchWait configure adaptive group commit per shard log
+	// (see smr.Options); zero keeps the smr defaults. A small Batch with a
+	// non-zero BatchWait drives every cut to the count budget, the boundary
+	// the displacement path re-dispatches whole.
+	Batch     int
+	BatchWait time.Duration
 	// PutPercent is the write share of the workload. Default 50.
 	PutPercent int
 	// Faults enables a subset of AllFaults; nil enables all.
@@ -178,10 +175,8 @@ func Run(cfg Config) (Result, error) {
 				MemoryLatency: cfg.Latency,
 				LeaseDuration: cfg.Lease,
 			},
-			MaxBatch:   cfg.Batch,
-			BatchBytes: cfg.BatchBytes,
-			BatchWait:  cfg.BatchWait,
-			Pipeline:   cfg.Pipeline,
+			MaxBatch:  cfg.Batch,
+			BatchWait: cfg.BatchWait,
 		},
 	})
 	if err != nil {

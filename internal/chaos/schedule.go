@@ -1,5 +1,5 @@
 // Package chaos is the seed-reproducible fault-injection harness behind
-// cmd/agreementchaos and agreementbench's -chaos mode: it composes random
+// cmd/agreementchaos and the regression-seed tests: it composes random
 // schedules of the faults the stack already models — memory crashes,
 // lease-holder stalls, message jitter, forced lease transfers and
 // interrupted mid-handoff rebalances — runs them against a live ShardedKV

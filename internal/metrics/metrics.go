@@ -25,6 +25,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -192,7 +193,9 @@ func (s HistogramSnapshot) Mean() time.Duration {
 
 // Quantile estimates the q-th quantile (0 < q ≤ 1) by linear interpolation
 // inside the bucket holding it; the overflow bucket interpolates toward Max.
-// Returns zero when the histogram is empty.
+// Observations are whole nanoseconds in (lower, upper], so the interpolated
+// position rounds up: a unit-valued histogram whose every observation is 1
+// reads 1, not 0. Returns zero when the histogram is empty.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 || q <= 0 {
 		return 0
@@ -221,7 +224,7 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 				upper = lower
 			}
 			frac := (target - cum) / float64(c)
-			v := lower + time.Duration(frac*float64(upper-lower))
+			v := lower + time.Duration(math.Ceil(frac*float64(upper-lower)))
 			if v > s.Max {
 				v = s.Max
 			}

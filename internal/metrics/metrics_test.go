@@ -90,6 +90,18 @@ func TestHistogramQuantile(t *testing.T) {
 	if s.Mean() != time.Millisecond {
 		t.Fatalf("Mean = %v, want 1ms", s.Mean())
 	}
+
+	// Unit values on the smr batch-size bounds, every one 1: the [0, 1]
+	// bucket must not interpolate down to 0.
+	ones := NewHistogram([]time.Duration{1, 2, 4, 8})
+	for i := 0; i < 100; i++ {
+		ones.Observe(1)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if got := ones.Snapshot().Quantile(q); got != 1 {
+			t.Fatalf("all-ones Quantile(%v) = %d, want 1", q, got)
+		}
+	}
 }
 
 func TestHistogramQuantileSpread(t *testing.T) {

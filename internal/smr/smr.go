@@ -96,13 +96,6 @@ type Options struct {
 	// MaxBatch bounds how many queued commands are agreed as one slot value.
 	// Zero means 64.
 	MaxBatch int
-	// BatchBytes bounds the total command payload bytes coalesced into one
-	// slot value: the dispatcher absorbs the whole pending queue into a
-	// batch until MaxBatch commands or BatchBytes bytes, whichever binds
-	// first (a single oversized command still ships alone — the budget
-	// splits batches, it never rejects commands). Zero means 256 KiB;
-	// negative disables the byte budget.
-	BatchBytes int
 	// BatchWait is the coalescing horizon of adaptive group commit: when
 	// the pending queue holds fewer commands than the budgets allow, the
 	// dispatcher waits up to BatchWait — measured from the oldest queued
@@ -173,9 +166,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.BatchBytes == 0 {
-		o.BatchBytes = 256 << 10
 	}
 	if o.Pipeline == 0 {
 		o.Pipeline = 4
@@ -1379,8 +1369,12 @@ func barriersOf(batch []queued) []queued {
 	return barriers
 }
 
+// batchBytes bounds the command payload bytes coalesced into one slot value;
+// it splits batches but never rejects a command, so an oversized one ships alone.
+const batchBytes = 256 << 10
+
 // takeBatch is the adaptive group-commit drain: it absorbs the whole pending
-// queue into one batch, up to MaxBatch commands or BatchBytes payload bytes
+// queue into one batch, up to MaxBatch commands or batchBytes payload bytes
 // (whichever binds first), along with every read barrier queued among or
 // immediately after them. Barriers contribute nothing to the slot value, so
 // they do not count against either budget — a burst of Reads must not shrink
@@ -1405,11 +1399,7 @@ func (l *Log) takeBatch() ([]queued, time.Duration) {
 	for n < len(l.pending) {
 		q := &l.pending[n]
 		if !q.barrier {
-			if cmds == l.opts.MaxBatch {
-				full = true
-				break
-			}
-			if cmds > 0 && l.opts.BatchBytes > 0 && size+len(q.cmd) > l.opts.BatchBytes {
+			if cmds == l.opts.MaxBatch || (cmds > 0 && size+len(q.cmd) > batchBytes) {
 				full = true
 				break
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rdmaagreement"
+	"rdmaagreement/client"
 	"rdmaagreement/internal/wire"
 )
 
@@ -138,6 +139,105 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if v, ok, err := kv.GetLinearizable(context.Background(), wire.TenantKey("", "user/42")); err != nil || !ok || v != "alice" {
 		t.Fatalf("store after admin rebalance = %q, %v, %v", v, ok, err)
+	}
+}
+
+// TestAdminRebalanceUnderServedTraffic grows the ring through the admin
+// endpoint while closed-loop writers put through the ring-aware client: no
+// put may fail, the handoff must move keys, and afterwards every acknowledged
+// key must read back linearizably and live in exactly one group's machine.
+func TestAdminRebalanceUnderServedTraffic(t *testing.T) {
+	kv := newTestKV(t)
+	_, base := startServer(t, Options{Store: kv})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const writers, trigger, tail = 4, 32, 8 // one client per writer, plus the admin's
+	clients := make([]*client.Client, writers+1)
+	for i := range clients {
+		cl, err := client.New(client.Options{Endpoints: []string{base}})
+		if err != nil {
+			t.Fatalf("client.New: %v", err)
+		}
+		defer cl.Close()
+		clients[i] = cl
+	}
+
+	// Each writer puts its own keys until the rebalance is done, then a few
+	// more so traffic straddles both ends of the handoff. reached closes at
+	// the trigger, or early on a failed put (puts give up when ctx expires).
+	var (
+		mu       sync.Mutex
+		acked    = make(map[string]string)
+		putErr   error
+		wg       sync.WaitGroup
+		reached  = make(chan struct{})
+		reachOne sync.Once
+		done     = make(chan struct{})
+	)
+	for w, cl := range clients[:writers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer reachOne.Do(func() { close(reached) })
+			for i, after := 0, -1; after < tail; i++ {
+				key, value := fmt.Sprintf("w%d/%d", w, i), fmt.Sprintf("v%d", i)
+				_, _, err := cl.Put(ctx, key, value)
+				mu.Lock()
+				if err != nil {
+					putErr = fmt.Errorf("put %s: %w", key, err)
+					mu.Unlock()
+					return
+				}
+				acked[key] = value
+				if len(acked) >= trigger {
+					reachOne.Do(func() { close(reached) })
+				}
+				mu.Unlock()
+				select {
+				case <-done:
+					after++
+				default:
+				}
+			}
+		}()
+	}
+
+	admin := clients[writers]
+	<-reached
+	err := admin.AddShard(ctx, "shard-2")
+	close(done)
+	wg.Wait()
+	if putErr != nil {
+		t.Fatalf("a put failed under the rebalance: %v", putErr)
+	}
+	if err != nil {
+		t.Fatalf("admin AddShard under traffic: %v", err)
+	}
+	if m := kv.Stats().Migrated; m < 1 {
+		t.Fatalf("Stats().Migrated = %d, want ≥ 1", m)
+	}
+
+	for key, want := range acked {
+		if v, ok, err := admin.GetLinearizable(ctx, key); err != nil || !ok || v != want {
+			t.Fatalf("served read of %q = %q, %v, %v; want %q", key, v, ok, err, want)
+		}
+		// A raw, untagged read bypasses routing and the ownership gate, so it
+		// sees each machine's true contents, ceded state included.
+		stored, homes := wire.TenantKey("", key), 0
+		for _, name := range kv.Shards() {
+			resp, err := kv.ShardLog(name).Read(ctx, []byte(stored))
+			_, found, derr := rdmaagreement.DecodeKVResult(resp)
+			if err != nil || derr != nil {
+				t.Fatalf("raw read of %q on %s: %v (decode: %v)", stored, name, err, derr)
+			}
+			if found {
+				homes++
+			}
+		}
+		if homes != 1 {
+			t.Fatalf("key %q lives in %d groups after the rebalance, want exactly 1", stored, homes)
+		}
 	}
 }
 
