@@ -1,7 +1,7 @@
 // Package harness runs the experiments that reproduce the paper's
 // quantitative claims (see DESIGN.md §4 and EXPERIMENTS.md) and formats their
-// results as tables. The root-level benchmarks and the cmd/agreementbench
-// table printer are thin wrappers around this package.
+// results as tables. The cmd/agreementbench table printer and the public
+// Experiments registry are thin wrappers around this package.
 package harness
 
 import (

@@ -95,6 +95,35 @@ func TestE3CrashResilience(t *testing.T) {
 	}
 }
 
+func TestE4AlignedMajorityDecides(t *testing.T) {
+	table, err := E4AlignedMajority()
+	if err != nil {
+		t.Fatalf("E4: %v", err)
+	}
+	for _, row := range table.Rows {
+		if row[5] != "yes" {
+			t.Fatalf("E4: run %v did not decide\n%s", row, table)
+		}
+	}
+}
+
+// The zombie row's delay count varies from run to run (8 or 0 have both been
+// seen), so only its decision is pinned.
+func TestE9MemoryFailuresDecide(t *testing.T) {
+	table, err := E9MemoryFailures()
+	if err != nil {
+		t.Fatalf("E9: %v", err)
+	}
+	for _, row := range table.Rows {
+		if row[2] != "yes" {
+			t.Fatalf("E9: run %v did not decide\n%s", row, table)
+		}
+	}
+	if delays := table.Rows[0][3]; delays != "2" {
+		t.Fatalf("E9: fast & robust with f_M memory crashes decided in %s delays, want 2\n%s", delays, table)
+	}
+}
+
 func TestE6FastPathUsesSingleSignature(t *testing.T) {
 	table, err := E6SignatureCost()
 	if err != nil {

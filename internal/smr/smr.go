@@ -517,11 +517,13 @@ func (l *Log) enqueue(q queued) (queued, error) {
 		l.stats.BarrierReads++
 	}
 	l.pending = append(l.pending, q)
+	// Raise the gauge before unlocking: once the lock drops, takeBatch may
+	// take q and lower the gauge, which must never see it below zero.
+	l.m.queueDepth.Add(1)
 	l.mu.Unlock()
 	if !q.barrier {
 		l.m.enqueued.Inc()
 	}
-	l.m.queueDepth.Add(1)
 
 	select {
 	case l.notify <- struct{}{}:

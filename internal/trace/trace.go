@@ -1,8 +1,7 @@
 // Package trace records the structured events emitted by protocols and
 // substrates during an experiment run: proposals, memory operations,
 // permission changes, aborts and decisions. The harness uses traces to build
-// experiment tables and to check safety properties after a run; the
-// agreementsim command prints them for interactive exploration.
+// experiment tables and to check safety properties after a run.
 package trace
 
 import (

@@ -42,12 +42,6 @@ type LogStats = smr.Stats
 // allocation-free, so observing never stalls the committer.
 type LogMetrics = smr.Metrics
 
-// StageLatency summarizes one slot-lifecycle stage of LogMetrics.
-type StageLatency = smr.StageLatency
-
-// GaugeStats is a LogMetrics level gauge: current value plus peak.
-type GaugeStats = smr.GaugeStats
-
 // MetricsRegistry is the named-instrument registry behind LogMetrics
 // (LogOptions.Metrics, Log.Registry, Sharded.Registry): counters, gauges and
 // fixed-bucket latency histograms, snapshot-able as typed values

@@ -25,7 +25,8 @@
 //   - Experiments (Experiments, ExperimentIDs): regenerate the tables in
 //     EXPERIMENTS.md that reproduce the paper's quantitative claims.
 //
-// See the examples directory for runnable programs and README.md for an
+// The Example functions in example_test.go are runnable, output-checked
+// walkthroughs (go test -run '^Example' -v .); see README.md for an
 // architecture overview.
 package rdmaagreement
 
@@ -58,9 +59,6 @@ const (
 	ProtocolFastPaxos = core.ProtocolFastPaxos
 )
 
-// Protocols lists every protocol in a stable order.
-func Protocols() []Protocol { return core.Protocols() }
-
 // Options configure a cluster (topology, failure bounds, timing).
 type Options = core.Options
 
@@ -79,9 +77,6 @@ type Value = types.Value
 
 // ProcID identifies a process.
 type ProcID = types.ProcID
-
-// MemID identifies a memory.
-type MemID = types.MemID
 
 // Recorder collects structured protocol events (proposals, permission
 // changes, panics, decisions) for inspection.

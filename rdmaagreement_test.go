@@ -9,33 +9,6 @@ import (
 	"time"
 )
 
-func TestPublicAPIQuickstart(t *testing.T) {
-	cluster, err := NewCluster(ProtocolFastRobust, Options{Processes: 3, Memories: 3})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer cluster.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := cluster.Proposer(cluster.Leader()).Propose(ctx, Value("public-api"))
-	if err != nil {
-		t.Fatalf("Propose: %v", err)
-	}
-	if !res.Value.Equal(Value("public-api")) {
-		t.Fatalf("decided %v", res.Value)
-	}
-	if !res.FastPath || res.DecisionDelays != 2 {
-		t.Fatalf("expected a 2-delay fast-path decision, got %+v", res)
-	}
-}
-
-func TestPublicAPIProtocolList(t *testing.T) {
-	if len(Protocols()) != 6 {
-		t.Fatalf("expected 6 protocols, got %v", Protocols())
-	}
-}
-
 func TestPublicAPIExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	ids := ExperimentIDs()
