@@ -217,7 +217,9 @@ func NewCluster(protocol Protocol, opts Options) (*Cluster, error) {
 		c.Pool = memsim.NewPool(opts.Memories, func(types.MemID) []memsim.RegionSpec {
 			return pmpaxos.Layout(procs, opts.Leader)
 		}, memOpts)
-		build = c.buildProtectedMemoryPaxos
+		build = func(p types.ProcID) (Proposer, func(), error) {
+			return c.buildPMPaxos(p, pmpaxos.Region, pmpaxos.DecideKind, c.Oracle, opts.Leader, false)
+		}
 	case ProtocolAlignedPaxos:
 		c.Pool = memsim.NewPool(opts.Memories, func(types.MemID) []memsim.RegionSpec {
 			return aligned.Layout(procs)
@@ -230,7 +232,7 @@ func NewCluster(protocol Protocol, opts Options) (*Cluster, error) {
 		build = c.buildDiskPaxos
 	case ProtocolPaxos:
 		c.Pool = memsim.NewPool(opts.Memories, func(types.MemID) []memsim.RegionSpec { return nil }, memOpts)
-		build = c.buildPaxos
+		build = func(p types.ProcID) (Proposer, func(), error) { return c.buildPaxos(p, "paxos/msg", c.Oracle) }
 	case ProtocolFastPaxos:
 		c.Pool = memsim.NewPool(opts.Memories, func(types.MemID) []memsim.RegionSpec { return nil }, memOpts)
 		build = c.buildFastPaxos
@@ -495,24 +497,39 @@ func (a *pmPaxosProposer) Propose(ctx context.Context, v types.Value) (Result, e
 
 func (a *pmPaxosProposer) Clock() *delayclock.Clock { return a.node.Clock() }
 
-func (c *Cluster) buildProtectedMemoryPaxos(p types.ProcID) (Proposer, func(), error) {
+func (a *pmPaxosProposer) WaitDecision(ctx context.Context) (types.Value, error) {
+	return a.node.WaitDecision(ctx)
+}
+
+// buildPMPaxos builds process p's Protected Memory Paxos node on region,
+// broadcasting and learning decisions under decideKind: the stand-alone
+// instance (pmpaxos.Region, pmpaxos.DecideKind) or one log slot
+// (pmpaxos.RegionFor, pmpaxos.DecideKindFor). leader is the process the
+// region's initial write permission was laid out for; it skips phase 1 on
+// its first proposal unless forcePhase1 is set.
+func (c *Cluster) buildPMPaxos(p types.ProcID, region types.RegionID, decideKind string, oracle omega.Oracle, leader types.ProcID, forcePhase1 bool) (SlotProposer, func(), error) {
 	router := c.router(p)
+	sub := router.Subscribe(decideKind, 0)
 	node, err := pmpaxos.New(pmpaxos.Config{
 		Self:           p,
 		Procs:          c.Procs,
-		InitialLeader:  c.Opts.Leader,
+		InitialLeader:  leader,
+		ForcePhase1:    forcePhase1,
 		FaultyMemories: c.Opts.FaultyMemories,
 		Memories:       c.Pool.Memories(),
-		Oracle:         c.Oracle,
+		Oracle:         oracle,
 		Endpoint:       c.Network.Register(p),
-		DecideSub:      router.Subscribe(pmpaxos.DecideKind, 0),
+		DecideSub:      sub,
+		Region:         region,
+		DecideKind:     decideKind,
 		Recorder:       c.Opts.Recorder,
 	})
 	if err != nil {
+		router.Unsubscribe(sub)
 		return nil, nil, err
 	}
 	node.Start()
-	return &pmPaxosProposer{node: node}, node.Stop, nil
+	return &pmPaxosProposer{node: node}, func() { node.Stop(); router.Unsubscribe(sub) }, nil
 }
 
 type alignedProposer struct{ node *aligned.Node }
@@ -594,21 +611,27 @@ func (a *paxosProposer) Propose(ctx context.Context, v types.Value) (Result, err
 
 func (a *paxosProposer) Clock() *delayclock.Clock { return a.node.Clock() }
 
-func (c *Cluster) buildPaxos(p types.ProcID) (Proposer, func(), error) {
+func (a *paxosProposer) WaitDecision(ctx context.Context) (types.Value, error) {
+	return a.node.WaitDecision(ctx)
+}
+
+// buildPaxos builds process p's classic Paxos node exchanging messages of
+// exactly kind: "paxos/msg" for the stand-alone instance, paxosSlotKind for a
+// log slot. The subscription is to the exact kind, never the "paxos/" prefix,
+// so one instance's messages never leak into another's acceptor state.
+func (c *Cluster) buildPaxos(p types.ProcID, kind string, oracle omega.Oracle) (SlotProposer, func(), error) {
 	router := c.router(p)
-	// Subscribe to the exact base kind, not the "paxos/" prefix: per-slot
-	// instances multiplexed over this cluster use "paxos/slot/<n>/msg" kinds,
-	// which must never leak into the base node's acceptor state.
-	tr := paxos.NewNetTransport(c.Network.Register(p), router.Subscribe("paxos/msg", 0), "paxos/msg")
+	sub := router.Subscribe(kind, 0)
+	tr := paxos.NewNetTransport(c.Network.Register(p), sub, kind)
 	node := paxos.NewNode(paxos.Config{
 		Self:         p,
 		Procs:        c.Procs,
-		Oracle:       c.Oracle,
+		Oracle:       oracle,
 		RoundTimeout: c.Opts.RoundTimeout,
 		Recorder:     c.Opts.Recorder,
 	}, tr)
 	node.Start()
-	return &paxosProposer{node: node}, node.Stop, nil
+	return &paxosProposer{node: node}, func() { node.Stop(); router.Unsubscribe(sub) }, nil
 }
 
 type fastPaxosProposer struct{ node *fastpaxos.Node }

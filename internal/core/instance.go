@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rdmaagreement/internal/omega"
-	"rdmaagreement/internal/paxos"
 	"rdmaagreement/internal/pmpaxos"
 	"rdmaagreement/internal/types"
 )
@@ -106,13 +105,13 @@ func (c *Cluster) newInstance(slot uint64, oracle omega.Oracle, initialLeader ty
 		for _, mem := range c.Pool.Memories() {
 			mem.EnsureRegion(spec)
 		}
+		region, kind := pmpaxos.RegionFor(slot), pmpaxos.DecideKindFor(slot)
 		build = func(p types.ProcID) (SlotProposer, func(), error) {
-			return c.buildPMPaxosSlot(slot, p, oracle, initialLeader, forcePhase1)
+			return c.buildPMPaxos(p, region, kind, oracle, initialLeader, forcePhase1)
 		}
 	case ProtocolPaxos:
-		build = func(p types.ProcID) (SlotProposer, func(), error) {
-			return c.buildPaxosSlot(slot, p, oracle)
-		}
+		kind := paxosSlotKind(slot)
+		build = func(p types.ProcID) (SlotProposer, func(), error) { return c.buildPaxos(p, kind, oracle) }
 	default:
 		return nil, fmt.Errorf("%w: protocol %s does not support slot multiplexing (use %s or %s)",
 			types.ErrInvalidConfig, c.Protocol, ProtocolProtectedMemoryPaxos, ProtocolPaxos)
@@ -171,76 +170,6 @@ func (c *Cluster) ReleaseInstance(slot uint64) int {
 // the figure slot-GC bounds.
 func (c *Cluster) LiveRegions() int { return c.Pool.LiveRegions() }
 
-// --- per-protocol slot builders --------------------------------------------
-
-// pmPaxosSlotHandle adapts a per-slot Protected Memory Paxos node.
-type pmPaxosSlotHandle struct {
-	pmPaxosProposer
-}
-
-func (h *pmPaxosSlotHandle) WaitDecision(ctx context.Context) (types.Value, error) {
-	return h.node.WaitDecision(ctx)
-}
-
-func (c *Cluster) buildPMPaxosSlot(slot uint64, p types.ProcID, oracle omega.Oracle, initialLeader types.ProcID, forcePhase1 bool) (SlotProposer, func(), error) {
-	router := c.router(p)
-	decideKind := pmpaxos.DecideKindFor(slot)
-	sub := router.Subscribe(decideKind, 0)
-	node, err := pmpaxos.New(pmpaxos.Config{
-		Self:           p,
-		Procs:          c.Procs,
-		InitialLeader:  initialLeader,
-		ForcePhase1:    forcePhase1,
-		FaultyMemories: c.Opts.FaultyMemories,
-		Memories:       c.Pool.Memories(),
-		Oracle:         oracle,
-		Endpoint:       c.Network.Register(p),
-		DecideSub:      sub,
-		Region:         pmpaxos.RegionFor(slot),
-		DecideKind:     decideKind,
-		Recorder:       c.Opts.Recorder,
-	})
-	if err != nil {
-		router.Unsubscribe(sub)
-		return nil, nil, err
-	}
-	node.Start()
-	cleanup := func() {
-		node.Stop()
-		router.Unsubscribe(sub)
-	}
-	return &pmPaxosSlotHandle{pmPaxosProposer{node: node}}, cleanup, nil
-}
-
-// paxosSlotHandle adapts a per-slot classic Paxos node.
-type paxosSlotHandle struct {
-	paxosProposer
-}
-
-func (h *paxosSlotHandle) WaitDecision(ctx context.Context) (types.Value, error) {
-	return h.node.WaitDecision(ctx)
-}
-
 // paxosSlotKind is the message kind of classic-Paxos instance slot. The
 // trailing path segment keeps slot prefixes unambiguous on the router.
 func paxosSlotKind(slot uint64) string { return fmt.Sprintf("paxos/slot/%d/msg", slot) }
-
-func (c *Cluster) buildPaxosSlot(slot uint64, p types.ProcID, oracle omega.Oracle) (SlotProposer, func(), error) {
-	router := c.router(p)
-	kind := paxosSlotKind(slot)
-	sub := router.Subscribe(kind, 0)
-	tr := paxos.NewNetTransport(c.Network.Register(p), sub, kind)
-	node := paxos.NewNode(paxos.Config{
-		Self:         p,
-		Procs:        c.Procs,
-		Oracle:       oracle,
-		RoundTimeout: c.Opts.RoundTimeout,
-		Recorder:     c.Opts.Recorder,
-	}, tr)
-	node.Start()
-	cleanup := func() {
-		node.Stop()
-		router.Unsubscribe(sub)
-	}
-	return &paxosSlotHandle{paxosProposer{node: node}}, cleanup, nil
-}

@@ -3,6 +3,7 @@ package smr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -83,6 +84,75 @@ func TestLocalReadPrefersLeaseHolderThenApplied(t *testing.T) {
 	if got, err := l.LocalRead([]byte("key")); err != nil || string(got) != "v1" {
 		t.Fatalf("LocalRead after takeover = %q, %v; want v1", got, err)
 	}
+}
+
+// TestBatchWaitCoalesces pins the BatchWait horizon: commands that arrive
+// together while the queue is held commit as one slot, and a Barrier queued
+// behind a held queue cuts it at once instead of waiting out the horizon.
+func TestBatchWaitCoalesces(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	t.Run("coalesces", func(t *testing.T) {
+		opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+		opts.BatchWait = 50 * time.Millisecond
+		l := newTestLog(t, opts)
+		slotsBefore := l.Slots()
+		const n = 8
+		start := make(chan struct{})
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				<-start
+				_, _, err := l.Propose(ctx, []byte(fmt.Sprintf("cmd-%d", i)))
+				errs <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < n; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("Propose: %v", err)
+			}
+		}
+		if got := l.Slots() - slotsBefore; got != 1 {
+			t.Fatalf("%d proposes started together took %d slots, want 1", n, got)
+		}
+		if got := l.Metrics().BatchSize.Max; got != n {
+			t.Fatalf("BatchSize.Max = %v, want %d", got, n)
+		}
+	})
+
+	t.Run("barrier-cuts", func(t *testing.T) {
+		opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+		opts.BatchWait = 2 * time.Second
+		l := newTestLog(t, opts)
+		proposed := make(chan error, 1)
+		go func() {
+			_, _, err := l.Propose(ctx, []byte("held"))
+			proposed <- err
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for l.Metrics().QueueDepth.Current == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the proposal was never held in the queue")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		start := time.Now()
+		index, err := l.Barrier(ctx)
+		if err != nil {
+			t.Fatalf("Barrier: %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > opts.BatchWait/4 {
+			t.Fatalf("Barrier behind a held queue took %v, want well inside the %v horizon", elapsed, opts.BatchWait)
+		}
+		if index != 1 {
+			t.Fatalf("Barrier index = %d, want 1: the held command rides the barrier's slot", index)
+		}
+		if err := <-proposed; err != nil {
+			t.Fatalf("held Propose: %v", err)
+		}
+	})
 }
 
 // TestClosedLogReportsZeroPipelineDepth pins the "closed is not backed off"

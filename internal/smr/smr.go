@@ -42,12 +42,15 @@
 // typed, retryable ErrLeaseLost instead of committing ambiguously.
 //
 // The application side is the classic RSM contract (StateMachine): Propose
-// replicates a command and returns the machine's response for it, Read serves
-// linearizable queries via a read-index barrier (a no-op slot commit) — or,
-// while the group's lease is in force, straight from the authoritative
-// machine with zero consensus slots, the lease being exactly the guarantee
-// that no other proposer can have committed unseen writes — and StaleRead
-// serves local, possibly-stale queries from a replica's learner view. Every SnapshotInterval applied entries the committer snapshots the
+// replicates a command and returns the machine's response for it; Read and
+// ReadFrom serve linearizable queries in two steps, read index (lease or
+// Barrier), then query — the read index is the applied prefix itself while
+// the group's lease is in force (zero consensus slots: the lease is exactly
+// the guarantee that no other proposer can have committed unseen writes) and
+// a Barrier through the slot sequence otherwise, and the query then runs on a
+// machine that has applied at least through it; StaleRead serves local,
+// possibly-stale queries from a replica's learner view. Every
+// SnapshotInterval applied entries the committer snapshots the
 // machine and truncates the decided prefix — releasing the per-slot memory
 // regions — so live memory is bounded by the machine's state plus one
 // interval, not by log length; a replica that missed truncated slots is
@@ -203,8 +206,8 @@ type Entry struct {
 // wireBatch is the value agreed on per slot: an ordered batch of commands
 // tagged with their submitting log's identity, so a proposer can tell whether
 // the decided batch is its own. A batch with zero commands is a no-op slot,
-// committed by Read/ReadFrom as the read-index barrier when no writes are
-// queued alongside, and by recovery rounds to learn an ambiguous slot's fate.
+// committed by a Barrier when no writes are queued alongside, and by recovery
+// rounds to learn an ambiguous slot's fate.
 //
 // The origin/ID plumbing is what keeps multi-proposer slots honest — and
 // with leases the multi-proposer case is real: across a takeover the old
@@ -258,15 +261,12 @@ type Stats struct {
 	PipelineBackoffs uint64
 }
 
-// queued is one command — or one read barrier — waiting for a slot.
+// queued is one command — or one Barrier — waiting for a slot.
 type queued struct {
 	id         uint64
 	cmd        []byte
-	barrier    bool
-	bare       bool         // barrier only: no query; resolve with the read index alone
-	query      []byte       // barrier only: query served at the read index
-	replica    types.ProcID // barrier only: NoProcess = authoritative machine
-	enqueuedAt time.Time    // when enqueue accepted it (BatchWait/EndToEnd spans)
+	barrier    bool      // resolved with the read index its slot established
+	enqueuedAt time.Time // when enqueue accepted it (BatchWait/EndToEnd spans)
 	done       chan proposeResult
 }
 
@@ -471,13 +471,10 @@ func (l *Log) Close() {
 		return
 	}
 	l.closed = true
-	pending := l.pending
-	l.pending = nil
-	l.applied.Broadcast() // release ReadFrom waiters into the ErrClosed path
 	l.mu.Unlock()
 
 	l.cancel()
-	l.wg.Wait()
+	l.wg.Wait() // the committer's terminate fails whatever it abandons
 	l.epochCancel()
 	// A closed group runs no pipeline: zero the adaptive depth (after the
 	// committer exited, so a worker's last report cannot overwrite it) so
@@ -487,35 +484,65 @@ func (l *Log) Close() {
 	l.mu.Lock()
 	l.stats.PipelineDepth = 0
 	l.mu.Unlock()
-	l.m.queueDepth.Add(-int64(len(pending)))
-	for _, q := range pending {
-		q.done <- proposeResult{err: fmt.Errorf("%w before command committed", ErrClosed)}
-	}
 	l.cluster.Close()
+}
+
+// endedLocked reports why the group no longer accepts work: ErrClosed after
+// Close, ErrHalted wrapping the halt's cause, or nil while it runs. It is the
+// one place the closed-vs-halted error is built.
+//
+//smrlint:holds mu
+func (l *Log) endedLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.failure != nil {
+		return fmt.Errorf("%w: %w", ErrHalted, l.failure)
+	}
+	return nil
+}
+
+// end records why the committer stopped — the first cause wins — so that
+// submissions are refused from now on, wakes ReadFrom waiters into the
+// failure path, and returns the error every abandoned waiter is told.
+func (l *Log) end(cause error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.failure == nil {
+		l.failure = cause
+	}
+	l.applied.Broadcast()
+	return l.endedLocked()
+}
+
+// failBatch resolves every waiter of batch with err.
+func failBatch(batch []queued, err error) {
+	for _, q := range batch {
+		q.done <- proposeResult{err: err}
+	}
+}
+
+// wake pokes the dispatcher without blocking; one pending poke covers any
+// number of reasons to look at the queue again.
+func (l *Log) wake() {
+	select {
+	case l.notify <- struct{}{}:
+	default:
+	}
 }
 
 // enqueue appends one command or barrier to the pending queue and wakes the
 // committer, after the lifecycle checks every submission path shares.
 func (l *Log) enqueue(q queued) (queued, error) {
 	l.mu.Lock()
-	if l.closed {
+	if err := l.endedLocked(); err != nil {
 		l.mu.Unlock()
-		return queued{}, ErrClosed
-	}
-	if l.failure != nil {
-		cause := l.failure
-		l.mu.Unlock()
-		return queued{}, fmt.Errorf("%w: %w", ErrHalted, cause)
+		return queued{}, err
 	}
 	l.nextID++
 	q.id = l.nextID
 	q.enqueuedAt = time.Now()
 	q.done = make(chan proposeResult, 1)
-	if q.barrier && !q.bare {
-		// Bare barriers (Log.Barrier) answer no query; counting them as
-		// barrier READS would skew the lease-vs-barrier read split.
-		l.stats.BarrierReads++
-	}
 	l.pending = append(l.pending, q)
 	// Raise the gauge before unlocking: once the lock drops, takeBatch may
 	// take q and lower the gauge, which must never see it below zero.
@@ -524,11 +551,7 @@ func (l *Log) enqueue(q queued) (queued, error) {
 	if !q.barrier {
 		l.m.enqueued.Inc()
 	}
-
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
+	l.wake()
 	return q, nil
 }
 
@@ -556,89 +579,50 @@ func (l *Log) Propose(ctx context.Context, cmd []byte) (uint64, []byte, error) {
 	}
 }
 
-// Read serves a linearizable query against the group's state machine.
-//
-// While the group holds an unexpired lease, the query is answered straight
-// from the authoritative machine — zero consensus slots — with the same
-// guarantee: a Read that starts after any Propose returned observes that
-// command, because the machine has applied every returned Propose and the
-// lease certifies that no other proposer can have committed writes this
-// group has not applied (a competitor must first take the lease over, which
-// fences this epoch and is visible here as an epoch bump).
-//
-// When the lease is absent, expired or in doubt, Read falls back to the
-// read-index barrier: it commits through the group's slot sequence — the
-// query rides the next batch's slot, or a dedicated no-op slot when no
-// writes are queued — and answers from the authoritative machine at that
-// point. The query is served via the machine's Querier implementation;
+// readIndex establishes a linearizable read index: a log index that covers
+// every Propose returned before the call. While the group holds an unexpired
+// lease it is the applied prefix right now, at zero consensus slots — the
+// machine has applied every returned Propose, and the lease certifies that no
+// other proposer can have committed writes this group has not applied (a
+// competitor must first take the lease over, which fences this epoch and is
+// visible here as an epoch bump). When the lease is absent, expired or in
+// doubt it is a Barrier through the slot sequence. The read is counted as a
+// lease read or a barrier read accordingly.
+func (l *Log) readIndex(ctx context.Context) (uint64, error) {
+	lease := l.leaseValid()
+	l.mu.Lock()
+	if err := l.endedLocked(); err != nil {
+		l.mu.Unlock()
+		return 0, err
+	}
+	if lease {
+		l.stats.LeaseReads++
+		index := l.firstIndex + uint64(len(l.entries))
+		l.mu.Unlock()
+		return index, nil
+	}
+	l.stats.BarrierReads++
+	l.mu.Unlock()
+	return l.Barrier(ctx)
+}
+
+// Read serves a linearizable query against the group's state machine: it
+// establishes a read index (the lease, or else a Barrier), then queries the
+// authoritative machine, which has applied at least through that index. A
+// Read that starts after any Propose returned therefore observes that
+// command. The query is served via the machine's Querier implementation;
 // machines without one get ErrNotQueryable.
 func (l *Log) Read(ctx context.Context, query []byte) ([]byte, error) {
-	if resp, handled, err := l.tryLeaseRead(query); handled {
-		if err != nil {
-			return nil, fmt.Errorf("smr read: %w", err)
-		}
-		return resp, nil
+	if _, err := l.readIndex(ctx); err != nil {
+		return nil, fmt.Errorf("smr read: %w", err)
 	}
-	q, err := l.enqueue(queued{barrier: true, query: append([]byte(nil), query...), replica: types.NoProcess})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	resp, err := querySM(l.sm, query)
 	if err != nil {
 		return nil, fmt.Errorf("smr read: %w", err)
 	}
-	select {
-	case res := <-q.done:
-		if res.err != nil {
-			return nil, fmt.Errorf("smr read: %w", res.err)
-		}
-		return res.resp, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("smr read: %w", ctx.Err())
-	}
-}
-
-// leaseReadLocked is the shared lease fast-path prologue, called with l.mu
-// held once leaseValid passed: it re-checks the lifecycle, counts the lease
-// read, and returns the zero-slot read index — the applied prefix right now,
-// which covers every returned Propose.
-//
-//smrlint:holds mu
-func (l *Log) leaseReadLocked() (uint64, error) {
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.failure != nil {
-		return 0, fmt.Errorf("%w: %w", ErrHalted, l.failure)
-	}
-	l.stats.LeaseReads++
-	return l.firstIndex + uint64(len(l.entries)), nil
-}
-
-// tryLeaseRead is Read's fast path: while the lease is in force it serves
-// the query from the authoritative machine under l.mu — the same
-// serialization every query runs under — without touching the slot
-// sequence. handled=false means the lease is in doubt and the caller must
-// take the barrier path.
-func (l *Log) tryLeaseRead(query []byte) (resp []byte, handled bool, err error) {
-	if !l.leaseValid() {
-		return nil, false, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.leaseReadLocked(); err != nil {
-		return nil, true, err
-	}
-	resp, err = querySM(l.sm, query)
-	return resp, true, err
-}
-
-// tryLeaseReadIndex is ReadFrom's fast path: the same prologue, handing back
-// only the read index for the replica-side wait.
-func (l *Log) tryLeaseReadIndex() (readIndex uint64, handled bool, err error) {
-	if !l.leaseValid() {
-		return 0, false, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	readIndex, err = l.leaseReadLocked()
-	return readIndex, true, err
+	return resp, nil
 }
 
 // Barrier commits a pure read-index barrier through the group's slot
@@ -647,15 +631,16 @@ func (l *Log) tryLeaseReadIndex() (readIndex uint64, handled bool, err error) {
 // established. When Barrier returns, every command enqueued before it was
 // called has been committed and applied to the authoritative machine.
 //
-// Unlike Read, Barrier never takes the lease fast path: its job is to flush
-// the queue through the log, not to answer a query, and a zero-slot answer
-// would flush nothing. It is the prefix fence of a live shard rebalance (the
-// sharded layer barriers a ceding group immediately before committing its
-// migrate-out command, so the export captures every write routed there before
-// the handoff began), and is useful to any caller that needs "everything
-// before this point is applied" without reading state.
+// Barrier never takes the lease fast path: its job is to flush the queue
+// through the log, and a zero-slot answer would flush nothing. It is the read
+// index of Read and ReadFrom when the lease is in doubt, the prefix fence of
+// a live shard rebalance (the sharded layer barriers a ceding group
+// immediately before committing its migrate-out command, so the export
+// captures every write routed there before the handoff began), and is useful
+// to any caller that needs "everything before this point is applied" without
+// reading state.
 func (l *Log) Barrier(ctx context.Context) (uint64, error) {
-	q, err := l.enqueue(queued{barrier: true, bare: true, replica: types.NoProcess})
+	q, err := l.enqueue(queued{barrier: true})
 	if err != nil {
 		return 0, fmt.Errorf("smr barrier: %w", err)
 	}
@@ -671,8 +656,7 @@ func (l *Log) Barrier(ctx context.Context) (uint64, error) {
 }
 
 // ReadFrom serves a linearizable query from replica p's learner view: it
-// establishes the read index exactly like Read — locally under an unexpired
-// lease, through the barrier otherwise — then waits until p's view has
+// establishes the read index exactly like Read, then waits until p's view has
 // applied through that index before querying p's machine. The answer is as
 // current as Read's even though a follower serves it; on a lagging replica
 // the wait lasts until the replica catches up (via a snapshot restore) or ctx
@@ -684,35 +668,14 @@ func (l *Log) ReadFrom(ctx context.Context, p types.ProcID, query []byte) ([]byt
 	if !ok {
 		return nil, fmt.Errorf("smr read: unknown replica %s", p)
 	}
-	if readIndex, handled, err := l.tryLeaseReadIndex(); handled {
-		if err != nil {
-			return nil, fmt.Errorf("smr read: %w", err)
-		}
-		return l.awaitReplicaRead(ctx, p, readIndex, query)
-	}
-	q, err := l.enqueue(queued{barrier: true, replica: p})
+	readIndex, err := l.readIndex(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("smr read: %w", err)
 	}
-	var readIndex uint64
-	select {
-	case res := <-q.done:
-		if res.err != nil {
-			return nil, fmt.Errorf("smr read: %w", res.err)
-		}
-		readIndex = res.index
-	case <-ctx.Done():
-		return nil, fmt.Errorf("smr read: %w", ctx.Err())
-	}
-	return l.awaitReplicaRead(ctx, p, readIndex, query)
-}
-
-// awaitReplicaRead waits for p's view to apply through the read index, then
-// queries p's machine. The cond is broadcast whenever any view advances (and
-// on close/halt); the AfterFunc wakes waiters on ctx expiry — it takes the
-// mutex first, so a waiter is either already in Wait or will re-check ctx
-// before entering it.
-func (l *Log) awaitReplicaRead(ctx context.Context, p types.ProcID, readIndex uint64, query []byte) ([]byte, error) {
+	// The cond is broadcast whenever any view advances (and on close/halt);
+	// the AfterFunc wakes waiters on ctx expiry — it takes the mutex first,
+	// so a waiter is either already in Wait or will re-check ctx before
+	// entering it.
 	stop := context.AfterFunc(ctx, func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -730,11 +693,8 @@ func (l *Log) awaitReplicaRead(ctx context.Context, p types.ProcID, readIndex ui
 			}
 			return resp, nil
 		}
-		if l.closed {
-			return nil, fmt.Errorf("smr read: %w", ErrClosed)
-		}
-		if l.failure != nil {
-			return nil, fmt.Errorf("smr read: %w: %w", ErrHalted, l.failure)
+		if err := l.endedLocked(); err != nil {
+			return nil, fmt.Errorf("smr read: %w", err)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("smr read: replica %s behind read index %d: %w", p, readIndex, err)
@@ -1055,6 +1015,7 @@ func (l *Log) commitLoop(ctx context.Context) {
 	nextSlot := uint64(0)                   // next slot to hand to a worker
 	nextApply := uint64(0)                  // next slot to forward (== firstSlot + len(slots) eventually)
 	inflight := 0
+	var horizon *time.Timer // BatchWait: wakes the dispatcher when a held queue is due
 
 	// The applier: decided slots arrive in slot order and are recorded,
 	// applied and resolved there. The buffer lets agreement run ahead of a
@@ -1066,37 +1027,6 @@ func (l *Log) commitLoop(ctx context.Context) {
 	applyFailed := make(chan error, 1)
 	applierDone := make(chan struct{})
 	go l.applyLoop(applyCh, applyFailed, applierDone)
-
-	// The BatchWait horizon timer: armed when takeBatch reports the queue is
-	// holding for more arrivals, nil (blocking forever) otherwise.
-	var batchTimer *time.Timer
-	var batchC <-chan time.Time
-	armBatchTimer := func(d time.Duration) {
-		if batchTimer == nil {
-			batchTimer = time.NewTimer(d)
-			batchC = batchTimer.C
-			return
-		}
-		if batchC == nil {
-			// Fired and observed: the channel is drained, safe to reuse.
-			batchTimer.Reset(d)
-			batchC = batchTimer.C
-			return
-		}
-		if !batchTimer.Stop() {
-			select {
-			case <-batchTimer.C:
-			default:
-			}
-		}
-		batchTimer.Reset(d)
-		batchC = batchTimer.C
-	}
-	defer func() {
-		if batchTimer != nil {
-			batchTimer.Stop()
-		}
-	}()
 
 	// setDepth tracks the live adaptive depth in Stats.PipelineDepth.
 	setDepth := func(d int) {
@@ -1128,40 +1058,54 @@ func (l *Log) commitLoop(ctx context.Context) {
 			cleanStreak = 0
 		}
 	}
-	// receive settles won-vs-displaced at receipt time. A batch that lost
-	// its slot to a competitor — a recovery or fencing no-op, or a foreign
-	// batch — is re-dispatched (or failed) HERE, before the losing slot
-	// reaches the applier: that is what pipelines the recovery path, because
-	// the re-proposal no longer serializes behind the in-order apply of the
-	// slot it lost. Only fence-induced displacements count toward the
-	// ErrLeaseLost cap: a takeover may displace a batch exactly once, while
-	// timeout-recovery displacement keeps the retry-until-commit semantics
-	// (no leadership change to blame). With draining set (the terminate
-	// path) a displaced batch always lands on the retry list instead of
-	// being failed with ErrLeaseLost: terminate owns those waiters and fails
-	// them with ErrClosed/ErrHalted per its contract — telling them "safe to
-	// retry" on a closing or halting group would be a lie. If the origin
-	// peek fails (a decided value that does not decode), the batch rides to
-	// the applier untouched: recordSlot will fail on the same bytes and the
-	// halt path owns the waiters.
-	receive := func(res slotOutcome, draining bool) slotOutcome {
-		if len(res.w.batch) == 0 {
-			return res
+	// receive settles won-vs-displaced at receipt time and parks the slot in
+	// the reorder buffer. A batch that lost its slot to a competitor — a
+	// recovery or fencing no-op, or a foreign batch — is re-dispatched (or
+	// failed) HERE, before the losing slot reaches the applier: that is what
+	// pipelines the recovery path, because the re-proposal no longer
+	// serializes behind the in-order apply of the slot it lost. Only
+	// fence-induced displacements count toward the ErrLeaseLost cap: a
+	// takeover may displace a batch exactly once, while timeout-recovery
+	// displacement keeps the retry-until-commit semantics (no leadership
+	// change to blame). With draining set (the terminate path) a displaced
+	// batch always lands on the retry list instead of being failed with
+	// ErrLeaseLost: terminate owns those waiters and fails them with
+	// ErrClosed/ErrHalted per its contract — telling them "safe to retry" on
+	// a closing or halting group would be a lie. If the origin peek fails (a
+	// decided value that does not decode), the batch rides to the applier
+	// untouched: recordSlot will fail on the same bytes and the halt path
+	// owns the waiters.
+	receive := func(res slotOutcome, draining bool) {
+		if origin, err := peekOrigin(res.decided); len(res.w.batch) > 0 && err == nil && origin != l.origin {
+			if res.fenced {
+				res.w.displaced++
+			}
+			if res.w.displaced >= maxDisplacements && !draining {
+				failBatch(res.w.batch, fmt.Errorf("%w (displaced %d times)", ErrLeaseLost, res.w.displaced))
+			} else {
+				retry = append(retry, res.w)
+			}
+			res.w.batch = nil
 		}
-		origin, err := peekOrigin(res.decided)
-		if err != nil || origin == l.origin {
-			return res
+		reorder[res.slot] = res
+		l.m.reorder.Add(1)
+	}
+	// forward hands the contiguous decided prefix to the applier in slot
+	// order; slots decided ahead of a still-running predecessor wait in the
+	// buffer. The reorder buffer is epoch-agnostic: slots decided under
+	// different lease epochs interleave through it unchanged, which is what
+	// carries the pipeline cleanly across a takeover.
+	forward := func() {
+		for {
+			r, ok := reorder[nextApply]
+			if !ok {
+				return
+			}
+			delete(reorder, nextApply)
+			l.m.reorder.Add(-1)
+			nextApply++
+			applyCh <- r
 		}
-		if res.fenced {
-			res.w.displaced++
-		}
-		if res.w.displaced >= maxDisplacements && !draining {
-			l.failWork(res.w, fmt.Errorf("%w (displaced %d times)", ErrLeaseLost, res.w.displaced))
-		} else {
-			retry = append(retry, res.w)
-		}
-		res.w.batch = nil
-		return res
 	}
 
 	// terminate ends the committer: on Close it is a clean shutdown and the
@@ -1178,30 +1122,19 @@ func (l *Log) commitLoop(ctx context.Context) {
 	// decided-but-unforwardable, displaced, still queued — told exactly
 	// once.
 	terminate := func(cause error, last []queued) {
+		ended := l.end(cause)
 		cancelWorkers()
 		failed := [][]queued{last}
-		for inflight > 0 {
+		for ; inflight > 0; inflight-- {
 			res := <-results
-			inflight--
 			l.m.inflight.Add(-1)
 			if res.err != nil {
 				failed = append(failed, res.w.batch)
 			} else {
-				res = receive(res, true)
-				reorder[res.slot] = res
-				l.m.reorder.Add(1)
+				receive(res, true)
 			}
 		}
-		for {
-			r, ok := reorder[nextApply]
-			if !ok {
-				break
-			}
-			delete(reorder, nextApply)
-			l.m.reorder.Add(-1)
-			nextApply++
-			applyCh <- r
-		}
+		forward()
 		for _, res := range reorder {
 			failed = append(failed, res.w.batch)
 			l.m.reorder.Add(-1)
@@ -1211,19 +1144,15 @@ func (l *Log) commitLoop(ctx context.Context) {
 		}
 		close(applyCh)
 		<-applierDone // batches forwarded above are resolved (or failed) by now
+		// end refuses new submissions, so the queue drained here stays empty.
 		l.mu.Lock()
-		closed := l.closed
+		failed = append(failed, l.pending)
+		l.m.queueDepth.Add(-int64(len(l.pending)))
+		l.pending = nil
 		l.mu.Unlock()
-		wrapped := fmt.Errorf("%w before command committed", ErrClosed)
-		if !closed {
-			wrapped = fmt.Errorf("%w: %w", ErrHalted, cause)
-		}
 		for _, batch := range failed {
-			for _, q := range batch {
-				q.done <- proposeResult{err: wrapped}
-			}
+			failBatch(batch, ended)
 		}
-		l.halt(cause)
 	}
 
 	for {
@@ -1237,8 +1166,10 @@ func (l *Log) commitLoop(ctx context.Context) {
 			} else if batch, wait := l.takeBatch(); batch != nil {
 				w = work{batch: batch}
 			} else {
-				if wait > 0 {
-					armBatchTimer(wait)
+				if wait > 0 && horizon != nil {
+					horizon.Reset(wait)
+				} else if wait > 0 {
+					horizon = time.AfterFunc(wait, l.wake)
 				}
 				break
 			}
@@ -1260,9 +1191,6 @@ func (l *Log) commitLoop(ctx context.Context) {
 			return
 		case <-l.notify:
 			continue // fill the remaining pipeline slots
-		case <-batchC:
-			batchC = nil // horizon expired: cut whatever is queued
-			continue
 		case res := <-results:
 			inflight--
 			l.m.inflight.Add(-1)
@@ -1272,24 +1200,8 @@ func (l *Log) commitLoop(ctx context.Context) {
 			}
 			l.m.agreement.Observe(res.decidedAt.Sub(res.w.dispatchedAt))
 			adapt(res.recovered && !res.fenced)
-			res = receive(res, false)
-			reorder[res.slot] = res
-			l.m.reorder.Add(1)
-			// Forward the contiguous decided prefix in slot order; slots
-			// decided ahead of a still-running predecessor wait in the
-			// buffer. The reorder buffer is epoch-agnostic: slots decided
-			// under different lease epochs interleave through it unchanged,
-			// which is what carries the pipeline cleanly across a takeover.
-			for {
-				r, ok := reorder[nextApply]
-				if !ok {
-					break
-				}
-				delete(reorder, nextApply)
-				l.m.reorder.Add(-1)
-				nextApply++
-				applyCh <- r
-			}
+			receive(res, false)
+			forward()
 		}
 	}
 }
@@ -1300,16 +1212,16 @@ func (l *Log) commitLoop(ctx context.Context) {
 // applier is the sole writer of the authoritative machine and the sole
 // snapshot/truncation driver, which is the safety argument maybeSnapshot
 // leans on. If recordSlot fails — a decided value that does not decode, or an
-// own batch decided without one of its commands — the applier reports the
-// cause to the dispatcher (which terminates the group) and fails every
+// own batch decided without one of its commands — the applier ends the group,
+// reports the cause to the dispatcher (which terminates) and fails every
 // subsequent forwarded batch until the channel closes: once the in-order
 // prefix has a gap, nothing behind it may apply.
 func (l *Log) applyLoop(in <-chan slotOutcome, failedOut chan<- error, done chan<- struct{}) {
 	defer close(done)
-	var failed error
+	var ended error
 	for r := range in {
-		if failed != nil {
-			l.failBatchTerminal(r.w.batch, failed)
+		if ended != nil {
+			failBatch(r.w.batch, ended)
 			continue
 		}
 		// CommitWait closes when the applier picks the slot up; Apply spans
@@ -1318,57 +1230,18 @@ func (l *Log) applyLoop(in <-chan slotOutcome, failedOut chan<- error, done chan
 		applyStart := time.Now()
 		won, err := l.recordSlot(r.slot, r.decided, r.w.batch, SlotDecider{Proposer: r.proposer, Epoch: r.epoch})
 		if err != nil {
-			failed = err
+			ended = l.end(err)
 			failedOut <- err
-			l.failBatchTerminal(r.w.batch, err)
+			failBatch(r.w.batch, ended)
 			continue
 		}
 		l.m.apply.Observe(time.Since(applyStart))
 		l.m.slots.Inc()
 		if won {
-			l.resolveBarriers(barriersOf(r.w.batch))
+			l.resolveBarriers(r.w.batch)
 		}
 		l.maybeSnapshot()
 	}
-}
-
-// failBatchTerminal resolves a forwarded batch's waiters on the applier's
-// failure path, with the same closed-vs-halted wrapping terminate uses.
-func (l *Log) failBatchTerminal(batch []queued, cause error) {
-	if len(batch) == 0 {
-		return
-	}
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	wrapped := fmt.Errorf("%w before command committed", ErrClosed)
-	if !closed {
-		wrapped = fmt.Errorf("%w: %w", ErrHalted, cause)
-	}
-	for _, q := range batch {
-		q.done <- proposeResult{err: wrapped}
-	}
-}
-
-// failWork resolves every waiter of a displaced batch with the given
-// (retryable) error: the batch provably did not commit at any slot.
-func (l *Log) failWork(w work, err error) {
-	res := proposeResult{err: err}
-	for _, q := range w.batch {
-		q.done <- res
-	}
-}
-
-// barriersOf extracts a batch's read barriers (the hot path iterates batches
-// in place; only the barrier-resolution tail materializes a subset).
-func barriersOf(batch []queued) []queued {
-	var barriers []queued
-	for _, q := range batch {
-		if q.barrier {
-			barriers = append(barriers, q)
-		}
-	}
-	return barriers
 }
 
 // batchBytes bounds the command payload bytes coalesced into one slot value;
@@ -1436,30 +1309,6 @@ func (l *Log) takeBatch() ([]queued, time.Duration) {
 	}
 	l.m.queueDepth.Add(-int64(n))
 	return batch, 0
-}
-
-// halt permanently halts the log: the cause is recorded (subsequent Propose
-// and Read calls return ErrHalted immediately) and every queued command is
-// told. Setting failure and draining the queue happen in one critical
-// section, so a submission either enqueues before the drain (and is drained)
-// or observes the failure.
-func (l *Log) halt(cause error) {
-	l.mu.Lock()
-	if l.failure == nil {
-		l.failure = cause
-	}
-	pending := l.pending
-	l.pending = nil
-	closed := l.closed
-	l.applied.Broadcast() // release ReadFrom waiters into the ErrHalted path
-	l.mu.Unlock()
-	l.m.queueDepth.Add(-int64(len(pending)))
-	if closed {
-		return // Close already owns the pending queue (pending is empty here)
-	}
-	for _, q := range pending {
-		q.done <- proposeResult{err: fmt.Errorf("%w: %w", ErrHalted, cause)}
-	}
 }
 
 // driveSlot is one pipeline worker: it owns slot end to end — agree on the
@@ -1656,33 +1505,16 @@ func (l *Log) noteRecovery(decided types.Value, noop bool) bool {
 	return false
 }
 
-// resolveBarriers answers the batch's read barriers at the just-established
-// read index: every command committed before the barrier was enqueued has
-// been applied to the authoritative machine by now.
-func (l *Log) resolveBarriers(barriers []queued) {
-	if len(barriers) == 0 {
-		return
-	}
-	l.mu.Lock()
-	readIndex := l.firstIndex + uint64(len(l.entries))
-	results := make([]proposeResult, len(barriers))
-	for i, q := range barriers {
-		if q.bare {
-			// Pure barrier (Log.Barrier): the established read index is the
-			// whole answer.
-			results[i] = proposeResult{index: readIndex}
-		} else if q.replica == types.NoProcess {
-			resp, err := querySM(l.sm, q.query)
-			results[i] = proposeResult{index: readIndex, resp: resp, err: err}
-		} else {
-			// Replica-served read: hand back only the read index; ReadFrom
-			// waits for the replica's view to reach it before querying.
-			results[i] = proposeResult{index: readIndex}
+// resolveBarriers answers a won batch's Barriers with the read index its
+// slot just established: every command enqueued before them has been applied
+// to the authoritative machine by now. Only the applier advances the applied
+// prefix, so the index cannot move while they are answered.
+func (l *Log) resolveBarriers(batch []queued) {
+	readIndex := l.Len()
+	for _, q := range batch {
+		if q.barrier {
+			q.done <- proposeResult{index: readIndex}
 		}
-	}
-	l.mu.Unlock()
-	for i, q := range barriers {
-		q.done <- results[i]
 	}
 }
 

@@ -3,6 +3,7 @@ package smr
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -193,6 +194,85 @@ func TestReadOnlySlotGC(t *testing.T) {
 	}
 	if l.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0 (no-op slots must not create entries)", l.Len())
+	}
+}
+
+// failSnapshotSM fails the first *fails Snapshot calls (the counter is shared
+// by every machine of a group; only the authoritative one snapshots).
+type failSnapshotSM struct {
+	*testSM
+	fails *int
+}
+
+var errSnapshotRefused = errors.New("snapshot refused")
+
+func (m *failSnapshotSM) Snapshot() ([]byte, error) {
+	if *m.fails > 0 {
+		*m.fails--
+		return nil, errSnapshotRefused
+	}
+	return m.testSM.Snapshot()
+}
+
+// TestSnapshotFailureKeepsLogIntact pins the snapshot-failure path: while
+// Snapshot fails the log keeps its whole prefix and every slot region,
+// SnapshotFailures reports the count and the last error, and the next
+// successful snapshot clears the error and truncates.
+func TestSnapshotFailureKeepsLogIntact(t *testing.T) {
+	fails := 2
+	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts.NewSM = func() StateMachine {
+		return &failSnapshotSM{testSM: &testSM{state: make(map[string]string)}, fails: &fails}
+	}
+	opts.SnapshotInterval = 2
+	l := newTestLog(t, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// The applier snapshots after resolving the slot's waiters, so poll.
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for !done() {
+			if ctx.Err() != nil {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for attempt := 1; attempt <= 2; attempt++ {
+		for i := 0; i < opts.SnapshotInterval; i++ {
+			propose(t, ctx, l, "k", fmt.Sprintf("v%d-%d", attempt, i))
+		}
+		waitFor(fmt.Sprintf("snapshot failure %d", attempt), func() bool {
+			n, _ := l.SnapshotFailures()
+			return n == attempt
+		})
+		if first := l.FirstIndex(); first != 0 {
+			t.Fatalf("FirstIndex() = %d after a failed snapshot, want 0", first)
+		}
+		// Every memory keeps its base region plus one region per slot.
+		want := opts.Cluster.Memories * (1 + int(l.Slots()))
+		if live := l.Cluster().LiveRegions(); live != want {
+			t.Fatalf("LiveRegions() = %d after a failed snapshot, want %d: regions released without a snapshot", live, want)
+		}
+	}
+	if n, err := l.SnapshotFailures(); n != 2 || !errors.Is(err, errSnapshotRefused) {
+		t.Fatalf("SnapshotFailures() = (%d, %v), want (2, %v)", n, err, errSnapshotRefused)
+	}
+
+	regions := l.Cluster().LiveRegions()
+	for i := 0; i < opts.SnapshotInterval; i++ {
+		propose(t, ctx, l, "k", fmt.Sprintf("v3-%d", i))
+	}
+	waitFor("a successful snapshot", func() bool { return l.Snapshots() == 1 })
+	if n, err := l.SnapshotFailures(); n != 2 || err != nil {
+		t.Fatalf("SnapshotFailures() after a success = (%d, %v), want (2, nil)", n, err)
+	}
+	if first := l.FirstIndex(); first != 6 {
+		t.Fatalf("FirstIndex() = %d after the successful snapshot, want 6", first)
+	}
+	if live := l.Cluster().LiveRegions(); live >= regions {
+		t.Fatalf("LiveRegions() = %d after truncation, want < %d", live, regions)
 	}
 }
 

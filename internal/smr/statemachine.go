@@ -69,8 +69,8 @@ type StateMachine interface {
 }
 
 // Querier is optionally implemented by state machines that serve reads.
-// Query must be read-only: it runs outside the log order (at the read index
-// established by Read/ReadFrom, or at whatever state a StaleRead finds) and
+// Query must be read-only: it runs outside the log order (at or after the read
+// index established by Read/ReadFrom, or at whatever state a StaleRead finds) and
 // must not mutate the machine.
 type Querier interface {
 	Query(query []byte) ([]byte, error)

@@ -144,11 +144,21 @@ type connState struct{ inflight atomic.Int64 }
 // connKey carries the connState through the request context.
 type connKey struct{}
 
+// Connection timeouts of Serve: a client that stalls mid-header, or parks an
+// idle keep-alive connection, must not hold a connection forever. Neither
+// bounds a request's body or handler, whose time is the consensus path's.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve accepts connections on ln until Shutdown. It wires the
 // per-connection accounting that the bare Handler cannot.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{
-		Handler: s.mux,
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
 			return context.WithValue(ctx, connKey{}, &connState{})
 		},

@@ -387,3 +387,33 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 		t.Fatal("request after drain succeeded, want connection failure")
 	}
 }
+
+// TestStalledHeaderIsClosed pins Serve's header timeout: a client that writes
+// half a request line and stalls must have its connection closed once
+// readHeaderTimeout passes, instead of holding it forever.
+func TestStalledHeaderIsClosed(t *testing.T) {
+	saved := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = saved })
+	_, base := startServer(t, Options{Store: newTestKV(t)})
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/ri")); err != nil {
+		t.Fatalf("write half a request line: %v", err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatalf("SetReadDeadline: %v", err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled header (header timeout %v)", time.Since(start), readHeaderTimeout)
+	}
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+		t.Fatalf("connection closed after %v, before the header timeout could fire", elapsed)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"rdmaagreement/internal/types"
 )
 
 func TestPublicAPIExperimentRegistry(t *testing.T) {
@@ -147,6 +149,12 @@ func TestPublicAPISharded(t *testing.T) {
 	}
 	if stale, err := s.StaleRead(key, nil); err != nil || string(stale) != "3" {
 		t.Fatalf("StaleRead = %q, %v; want 3", stale, err)
+	}
+}
+
+func TestNewShardedNeedsStateMachine(t *testing.T) {
+	if _, err := NewSharded(nil, ShardedOptions{}); !errors.Is(err, types.ErrInvalidConfig) {
+		t.Fatalf("NewSharded(nil) = %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"rdmaagreement/internal/shard"
 	"rdmaagreement/internal/smr"
 	"rdmaagreement/internal/trace"
+	"rdmaagreement/internal/types"
 )
 
 // ShardedOptions configure a Sharded replicated state machine.
@@ -42,9 +43,8 @@ var (
 	// only raw log-level clients, which bypass routing, observe it directly.
 	ErrKeyMoved = errors.New("sharded: key is owned by another shard")
 	// ErrNoMigrator is returned by AddShard/RemoveShard when the application
-	// StateMachine does not implement Migrator (or the groups are plain logs
-	// with no machine at all): there is no way to carve the moved key range
-	// out of an opaque machine.
+	// StateMachine does not implement Migrator: there is no way to carve the
+	// moved key range out of an opaque machine.
 	ErrNoMigrator = errors.New("sharded: state machine does not implement Migrator; live rebalancing unavailable")
 	// ErrRebalanceInProgress is returned by AddShard/RemoveShard while a
 	// DIFFERENT rebalance is incomplete. Re-invoking the same operation
@@ -440,10 +440,6 @@ func (m *migration) describe() string {
 type Sharded struct {
 	newSM   func() StateMachine
 	logOpts LogOptions // per-group template; NewSM is set per group
-	// envelope is set when an application machine exists: commands and
-	// queries then travel wrapped with their routing key for the ownership
-	// gate. Plain logs (nil newSM) stay raw — they cannot rebalance anyway.
-	envelope bool
 
 	// metrics is the registry every group records into — one per Sharded
 	// deployment (or the caller's, via ShardedOptions.Log.Metrics), so the
@@ -467,9 +463,13 @@ type Sharded struct {
 
 // NewSharded builds the ring and one replicated-log group per shard, each
 // owning state machines built by newSM (one authoritative machine plus one
-// learner view per replica, per shard). A nil newSM builds plain logs of
-// opaque commands (which cannot rebalance).
+// learner view per replica, per shard). Commands and queries travel wrapped
+// with their routing key for the groups' ownership gates. A nil newSM is
+// ErrInvalidConfig.
 func NewSharded(newSM func() StateMachine, opts ShardedOptions) (*Sharded, error) {
+	if newSM == nil {
+		return nil, fmt.Errorf("sharded: %w: nil state machine factory", types.ErrInvalidConfig)
+	}
 	if opts.Shards <= 0 {
 		opts.Shards = 4
 	}
@@ -499,12 +499,11 @@ func NewSharded(newSM func() StateMachine, opts ShardedOptions) (*Sharded, error
 	}
 	names := shard.ShardNames(opts.Shards)
 	s := &Sharded{
-		newSM:    newSM,
-		logOpts:  opts.Log,
-		envelope: newSM != nil,
-		metrics:  opts.Log.Metrics,
-		ring:     shard.New(names, opts.VirtualNodes),
-		logs:     make(map[string]*smr.Log, opts.Shards),
+		newSM:   newSM,
+		logOpts: opts.Log,
+		metrics: opts.Log.Metrics,
+		ring:    shard.New(names, opts.VirtualNodes),
+		logs:    make(map[string]*smr.Log, opts.Shards),
 	}
 	for _, name := range names {
 		l, err := s.makeLog(name)
@@ -521,11 +520,7 @@ func NewSharded(newSM func() StateMachine, opts ShardedOptions) (*Sharded, error
 // group's ownership gate.
 func (s *Sharded) makeLog(name string) (*smr.Log, error) {
 	logOpts := s.logOpts
-	if s.newSM != nil {
-		logOpts.NewSM = func() StateMachine { return newGroupSM(name, s.newSM()) }
-	} else {
-		logOpts.NewSM = nil
-	}
+	logOpts.NewSM = func() StateMachine { return newGroupSM(name, s.newSM()) }
 	return smr.NewLog(logOpts)
 }
 
@@ -607,15 +602,6 @@ func (s *Sharded) withOwner(ctx context.Context, verb, key string, waitBound tim
 	}
 }
 
-// envelopePayload wraps an application payload with its routing key when the
-// groups run the ownership gate; plain logs stay raw.
-func (s *Sharded) envelopePayload(key string, payload []byte) []byte {
-	if !s.envelope {
-		return payload
-	}
-	return encodeKeyed(key, payload)
-}
-
 // Propose replicates cmd through the shard owning key and returns the shard's
 // name, the command's index in that shard's log, and the state machine's
 // response. When Propose returns without error, the command is committed and
@@ -623,7 +609,7 @@ func (s *Sharded) envelopePayload(key string, payload []byte) []byte {
 // commits a refusal instead of a write and Propose transparently retries
 // against the new owner (counted in ShardedStats.Forwarded).
 func (s *Sharded) Propose(ctx context.Context, key string, cmd []byte) (string, uint64, []byte, error) {
-	payload := s.envelopePayload(key, cmd)
+	payload := encodeKeyed(key, cmd)
 	var index uint64
 	var resp []byte
 	name, err := s.withOwner(ctx, "propose", key, 0, func(l *smr.Log) error {
@@ -667,7 +653,7 @@ func (s *Sharded) ownerLocked(key string) (name string, handedOff <-chan struct{
 // Read started — across rebalances too: once the key's new owner serves
 // reads, it has imported every write its old owner committed. See Log.Read.
 func (s *Sharded) Read(ctx context.Context, key string, query []byte) ([]byte, error) {
-	payload := s.envelopePayload(key, query)
+	payload := encodeKeyed(key, query)
 	var resp []byte
 	_, err := s.withOwner(ctx, "read", key, 0, func(l *smr.Log) error {
 		var err error
@@ -709,7 +695,7 @@ func (s *Sharded) StaleReadContext(ctx context.Context, key string, query []byte
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	payload := s.envelopePayload(key, query)
+	payload := encodeKeyed(key, query)
 	var resp []byte
 	_, err := s.withOwner(ctx, "stale read", key, staleForwardWait, func(l *smr.Log) error {
 		var err error
@@ -753,9 +739,6 @@ func (s *Sharded) RemoveShard(ctx context.Context, name string) error {
 func (s *Sharded) rebalanceShards(ctx context.Context, add, remove string) error {
 	// Probe the factory here, on the rare rebalance path, rather than paying
 	// a throwaway machine construction in every NewSharded.
-	if s.newSM == nil {
-		return ErrNoMigrator
-	}
 	if _, ok := s.newSM().(Migrator); !ok {
 		return ErrNoMigrator
 	}
