@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -115,7 +116,8 @@ type Options struct {
 	// BackoffBase is the first retry's backoff; it doubles per attempt with
 	// uniform jitter in [d/2, d). Zero means 5ms.
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff. Zero means 500ms.
+	// BackoffMax caps every wait between attempts: the exponential backoff
+	// and the server's Retry-After hints alike. Zero means 500ms.
 	BackoffMax time.Duration
 	// HTTPClient overrides the pooled default (for TLS, proxies, tests).
 	HTTPClient *http.Client
@@ -374,7 +376,7 @@ func (c *Client) withRetry(ctx context.Context, verb, key string, do func(base s
 		case errors.As(err, &werr) && wire.Retryable(werr.Code):
 			wait = c.backoff(attempt)
 			if werr.RetryAfter > wait {
-				wait = werr.RetryAfter
+				wait = min(werr.RetryAfter, c.opts.BackoffMax)
 			}
 			if werr.Code == wire.CodeDraining {
 				base = c.nextEndpoint() // this server is going away
@@ -468,16 +470,25 @@ func decodeError(resp *http.Response, blob []byte) error {
 	var werr wire.Error
 	if err := json.Unmarshal(blob, &werr); err == nil && werr.Code != "" {
 		e.Code, e.Message, e.Owner = werr.Code, werr.Message, werr.Owner
-		e.RetryAfter = time.Duration(werr.RetryAfterMS) * time.Millisecond
+		e.RetryAfter = retryHint(float64(werr.RetryAfterMS) * float64(time.Millisecond))
 	}
 	if e.RetryAfter == 0 {
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.ParseFloat(ra, 64); err == nil && secs > 0 {
-				e.RetryAfter = time.Duration(secs * float64(time.Second))
+			if secs, err := strconv.ParseFloat(ra, 64); err == nil {
+				e.RetryAfter = retryHint(secs * float64(time.Second))
 			}
 		}
 	}
 	return e
+}
+
+// retryHint converts a server's retry hint in nanoseconds to a Duration, or
+// zero when it is not positive (NaN included) or does not fit in one.
+func retryHint(ns float64) time.Duration {
+	if ns > 0 && ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return 0
 }
 
 // sleepCtx is a context-bounded sleep.

@@ -126,6 +126,70 @@ func TestRetryHonorsServerRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRetryHintCappedAtBackoffMax: a huge server hint must not park the
+// client until its context ends. A hint that fits in a Duration (1e9 ms,
+// ≈ 11.6 days) is capped at BackoffMax; one that does not (1e15 ms) is
+// ignored, leaving the client's own schedule.
+func TestRetryHintCappedAtBackoffMax(t *testing.T) {
+	const backoffMax = 40 * time.Millisecond
+	for _, tc := range []struct {
+		hintMS int64
+		want   []time.Duration // jittered by the pinned source to half
+	}{
+		{1e9, []time.Duration{backoffMax / 2, backoffMax / 2}},
+		{1e15, []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/ring", fakeRing([]string{"shard-0"}, 16, nil))
+		mux.HandleFunc("/v1/kv/", refuseWith(http.StatusServiceUnavailable,
+			wire.Error{Code: wire.CodeOverloaded, Message: "shed", RetryAfterMS: tc.hintMS}))
+		srv := httptest.NewServer(mux)
+		c, waits := newTestClient(t, Options{
+			Endpoints:   []string{srv.URL},
+			MaxRetries:  2,
+			BackoffBase: 10 * time.Millisecond,
+			BackoffMax:  backoffMax,
+		})
+		_, _, err := c.Put(context.Background(), "k", "v")
+		srv.Close()
+		if err == nil {
+			t.Fatalf("hint %d ms: Put succeeded against shedding server", tc.hintMS)
+		}
+		if fmt.Sprint(*waits) != fmt.Sprint(tc.want) {
+			t.Fatalf("hint %d ms: waits = %v, want %v", tc.hintMS, *waits, tc.want)
+		}
+	}
+}
+
+// FuzzDecodeError feeds decodeError arbitrary error bodies and Retry-After
+// headers: it must never panic, and never yield a negative RetryAfter (a
+// negative, NaN or overflowing hint is ignored, not trusted).
+func FuzzDecodeError(f *testing.F) {
+	for _, seed := range []struct{ body, retryAfter string }{
+		{`{"code":"overloaded","message":"shed","retry_after_ms":50}`, "0.05"},
+		{`{"code":"overloaded","retry_after_ms":9000000000000000}`, ""},
+		{`{"code":"overloaded","retry_after_ms":-5}`, "2"},
+		{`{"code":"lease_lost"}`, "1e300"},
+		{`{"code":"key_moved","owner":"shard-1"}`, "-1"},
+		{"", "NaN"},
+		{"<html>bad gateway</html>", "+Inf"},
+		{`{"code":`, "120"},
+	} {
+		f.Add([]byte(seed.body), seed.retryAfter)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, retryAfter string) {
+		resp := &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{}}
+		resp.Header.Set("Retry-After", retryAfter)
+		var werr *Error
+		if !errors.As(decodeError(resp, body), &werr) {
+			t.Fatalf("decodeError did not return an *Error")
+		}
+		if werr.RetryAfter < 0 {
+			t.Fatalf("RetryAfter = %v from body %q, Retry-After %q", werr.RetryAfter, body, retryAfter)
+		}
+	})
+}
+
 func TestCtxCancellationMidRetry(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/ring", fakeRing([]string{"shard-0"}, 16, nil))

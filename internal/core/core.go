@@ -509,7 +509,10 @@ func (a *pmPaxosProposer) WaitDecision(ctx context.Context) (types.Value, error)
 // its first proposal unless forcePhase1 is set.
 func (c *Cluster) buildPMPaxos(p types.ProcID, region types.RegionID, decideKind string, oracle omega.Oracle, leader types.ProcID, forcePhase1 bool) (SlotProposer, func(), error) {
 	router := c.router(p)
-	sub := router.Subscribe(decideKind, 0)
+	// Only a process that decides the instance broadcasts on decideKind, so
+	// one message per process holds what the subscription receives; were it
+	// ever full, Unsubscribe still releases the router.
+	sub := router.Subscribe(decideKind, len(c.Procs))
 	node, err := pmpaxos.New(pmpaxos.Config{
 		Self:           p,
 		Procs:          c.Procs,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -195,6 +196,56 @@ func TestLiveInstanceBookkeeping(t *testing.T) {
 	b.Close()
 	if live, peak := cluster.LiveInstances(), cluster.PeakInstances(); live != 0 || peak != 2 {
 		t.Fatalf("LiveInstances()/PeakInstances() = %d/%d after closing all, want 0/2", live, peak)
+	}
+}
+
+// TestInstanceDecisionBytes pins what one log slot's decision allocates:
+// instance setup, the leader's proposal, every other process learning the
+// decision, then Close and ReleaseInstance — the bench's core.decision_bytes
+// probe. A decision costs ≈ 10 KB; a decide subscription sized at 1,024
+// messages per process instead of a few broadcasts costs ≈ 300 KB and fails.
+func TestInstanceDecisionBytes(t *testing.T) {
+	const warmup, slots, maxBytes = 50, 500, 32 << 10
+	cluster, err := NewCluster(ProtocolProtectedMemoryPaxos, Options{InstancesOnly: true})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	leader, value := cluster.Leader(), make(types.Value, 128)
+	decide := func(slot uint64) {
+		inst, err := cluster.NewInstance(slot)
+		if err != nil {
+			t.Fatalf("NewInstance(%d): %v", slot, err)
+		}
+		defer cluster.ReleaseInstance(slot)
+		defer inst.Close()
+		if _, err := inst.Proposer(leader).Propose(ctx, value); err != nil {
+			t.Fatalf("slot %d: Propose: %v", slot, err)
+		}
+		for _, p := range cluster.Procs {
+			if p == leader {
+				continue
+			}
+			if _, err := inst.Proposer(p).WaitDecision(ctx); err != nil {
+				t.Fatalf("slot %d: WaitDecision at %s: %v", slot, p, err)
+			}
+		}
+	}
+	for slot := uint64(0); slot < warmup; slot++ {
+		decide(slot)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for slot := uint64(warmup); slot < warmup+slots; slot++ {
+		decide(slot)
+	}
+	runtime.ReadMemStats(&after)
+	perSlot := (after.TotalAlloc - before.TotalAlloc) / slots
+	t.Logf("one decision allocates %d B", perSlot)
+	if perSlot > maxBytes {
+		t.Fatalf("one decision allocates %d B, want ≤ %d B", perSlot, maxBytes)
 	}
 }
 

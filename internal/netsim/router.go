@@ -17,9 +17,8 @@ import (
 type Router struct {
 	ep *Endpoint
 
-	mu       sync.Mutex
-	subs     []subscription
-	fallback chan Message
+	mu   sync.Mutex
+	subs []subscription
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -29,6 +28,7 @@ type Router struct {
 type subscription struct {
 	prefix string
 	ch     chan Message
+	gone   chan struct{} // made by a dispatch that finds ch full; Unsubscribe closes it
 }
 
 // NewRouter attaches a router to the endpoint and starts its dispatch loop.
@@ -44,8 +44,11 @@ func NewRouter(ep *Endpoint) *Router {
 func (r *Router) Endpoint() *Endpoint { return r.ep }
 
 // Subscribe returns a channel that receives every message whose Kind starts
-// with prefix. Longer prefixes win when several subscriptions match. The
-// buffer parameter sizes the channel; zero means a reasonable default.
+// with prefix; longer prefixes win, and unmatched messages are dropped. The
+// buffer (zero means 1024) bounds throughput, not liveness: a full channel
+// stalls the router's dispatch until the subscriber reads or Unsubscribe
+// releases the send, so a channel that receives a few messages needs only
+// room for those.
 func (r *Router) Subscribe(prefix string, buffer int) <-chan Message {
 	if buffer <= 0 {
 		buffer = 1024
@@ -57,35 +60,25 @@ func (r *Router) Subscribe(prefix string, buffer int) <-chan Message {
 	return ch
 }
 
-// Unsubscribe removes the subscription whose channel is ch. Messages already
-// delivered to the channel stay readable; new messages matching its prefix
-// fall through to shorter-prefix subscriptions or the fallback. Long-lived
-// clusters that multiplex many short-lived consensus instances over one
-// router must unsubscribe finished instances so dispatch stays O(live
-// instances), not O(all instances ever).
+// Unsubscribe removes the subscription whose channel is ch and releases a
+// dispatch blocked on it, dropping that message. Messages already delivered
+// to the channel stay readable; new messages matching its prefix fall
+// through to shorter-prefix subscriptions. Long-lived clusters that
+// multiplex many short-lived consensus instances over one router must
+// unsubscribe finished instances so dispatch stays O(live instances), not
+// O(all instances ever).
 func (r *Router) Unsubscribe(ch <-chan Message) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.subs {
 		if r.subs[i].ch == ch {
+			if r.subs[i].gone != nil {
+				close(r.subs[i].gone)
+			}
 			r.subs = append(r.subs[:i], r.subs[i+1:]...)
 			return
 		}
 	}
-}
-
-// SubscribeDefault returns a channel receiving messages that match no other
-// subscription.
-func (r *Router) SubscribeDefault(buffer int) <-chan Message {
-	if buffer <= 0 {
-		buffer = 1024
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.fallback == nil {
-		r.fallback = make(chan Message, buffer)
-	}
-	return r.fallback
 }
 
 // Close stops the dispatch loop. Subscriber channels are not closed (late
@@ -115,30 +108,36 @@ func (r *Router) loop(ctx context.Context) {
 }
 
 func (r *Router) dispatch(ctx context.Context, msg Message) {
-	// Resolve the target channel while holding the lock: Unsubscribe
+	// Resolve the target and try it while holding the lock: Unsubscribe
 	// compacts r.subs in place, so a pointer into the slice must not be
 	// dereferenced after unlocking (it could alias a different
 	// subscription by then).
 	r.mu.Lock()
-	var target chan Message
-	bestLen := -1
+	var s *subscription
 	for i := range r.subs {
-		s := &r.subs[i]
-		if strings.HasPrefix(msg.Kind, s.prefix) && len(s.prefix) > bestLen {
-			target = s.ch
-			bestLen = len(s.prefix)
+		if strings.HasPrefix(msg.Kind, r.subs[i].prefix) && (s == nil || len(r.subs[i].prefix) > len(s.prefix)) {
+			s = &r.subs[i]
 		}
 	}
-	if target == nil {
-		target = r.fallback
-	}
-	r.mu.Unlock()
-
-	if target == nil {
+	if s == nil {
+		r.mu.Unlock()
 		return
 	}
 	select {
-	case target <- msg:
+	case s.ch <- msg:
+		r.mu.Unlock()
+		return
+	default:
+	}
+	// The channel is full: wait for room, Close or Unsubscribe.
+	if s.gone == nil {
+		s.gone = make(chan struct{})
+	}
+	ch, gone := s.ch, s.gone
+	r.mu.Unlock()
+	select {
+	case ch <- msg:
+	case <-gone:
 	case <-ctx.Done():
 	}
 }

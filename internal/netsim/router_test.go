@@ -64,29 +64,6 @@ func TestRouterLongestPrefixWins(t *testing.T) {
 	}
 }
 
-func TestRouterDefaultSubscription(t *testing.T) {
-	n := newTestNetwork(t, Options{})
-	a := n.Register(1)
-	b := n.Register(2)
-	router := NewRouter(b)
-	t.Cleanup(router.Close)
-
-	router.Subscribe("known/", 0)
-	def := router.SubscribeDefault(0)
-
-	if err := a.Send(2, "unknown/kind", nil, 0); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	select {
-	case msg := <-def:
-		if msg.Kind != "unknown/kind" {
-			t.Fatalf("default channel got %q", msg.Kind)
-		}
-	case <-time.After(time.Second):
-		t.Fatalf("unmatched message not delivered to default subscription")
-	}
-}
-
 func TestRouterUnmatchedWithoutDefaultIsDropped(t *testing.T) {
 	n := newTestNetwork(t, Options{})
 	a := n.Register(1)
@@ -184,4 +161,46 @@ func TestRouterUnsubscribeConcurrentDispatch(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestUnsubscribeReleasesBlockedDispatch wedges the router on a full
+// subscription that is never read, the state of a slot whose node has
+// stopped but is not yet unsubscribed. Unsubscribe must release the blocked
+// send, so the router's other subscriptions (lease heartbeats, say) flow
+// again.
+func TestUnsubscribeReleasesBlockedDispatch(t *testing.T) {
+	n := newTestNetwork(t, Options{})
+	sender := n.Register(1)
+	router := NewRouter(n.Register(2))
+	t.Cleanup(router.Close)
+
+	stuck := router.Subscribe("stuck/", 1)
+	other := router.Subscribe("other/", 0)
+	for i := 0; i < 3; i++ {
+		if err := sender.Send(2, "stuck/msg", nil, 0); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	// Links are FIFO, so this message queues behind the blocked dispatch.
+	if err := sender.Send(2, "other/msg", nil, 0); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	select {
+	case <-other:
+		t.Fatal("message delivered past a full subscription; the router never blocked")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	router.Unsubscribe(stuck)
+	select {
+	case msg := <-other:
+		if msg.Kind != "other/msg" {
+			t.Fatalf("other channel got %q", msg.Kind)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Unsubscribe did not release the dispatch blocked on its full channel")
+	}
+	if got := len(stuck); got != 1 {
+		t.Fatalf("unsubscribed channel holds %d messages, want the 1 delivered before it filled", got)
+	}
 }
