@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"rdmaagreement/internal/core"
 )
@@ -141,4 +143,50 @@ func TestE6FastPathUsesSingleSignature(t *testing.T) {
 			t.Fatalf("E6: the fast-path leader should need exactly one signature, used %d\n%s", signs, table)
 		}
 	}
+}
+
+// E8 keeps the paper's shape, 2δ against 4δ, at every δ, and at the δ that
+// resembles RDMA it times the algorithm, not the simulator's timers. E8
+// reads the wall clock, so a host busy with other work can slow one sweep;
+// the shape must hold in one of e8Sweeps. With sub-millisecond waits rounded
+// up to a millisecond, none does.
+func TestE8Shape(t *testing.T) {
+	const e8Sweeps = 5
+	var failed []string
+	for range e8Sweeps {
+		table, err := E8LatencySweep()
+		if err != nil {
+			t.Fatalf("E8: %v", err)
+		}
+		problems := e8ShapeProblems(table)
+		if len(problems) == 0 {
+			return
+		}
+		failed = append(failed, strings.Join(problems, "\n")+"\n"+table.String())
+	}
+	t.Fatalf("E8 lost its shape in all %d sweeps:\n%s", e8Sweeps, strings.Join(failed, "\n"))
+}
+
+// e8ShapeProblems checks disk/pm ≥ 1.5 at every δ and pm ≤ 3 × 2δ at
+// δ = 100 µs.
+func e8ShapeProblems(table Table) []string {
+	var problems []string
+	for _, row := range table.Rows {
+		var cells [3]time.Duration
+		for i := range cells {
+			d, err := time.ParseDuration(row[i])
+			if err != nil {
+				return []string{fmt.Sprintf("bad latency cell %q", row[i])}
+			}
+			cells[i] = d
+		}
+		delta, pm, disk := cells[0], cells[1], cells[2]
+		if ratio := float64(disk) / float64(pm); ratio < 1.5 {
+			problems = append(problems, fmt.Sprintf("δ=%v: disk/pm = %.2f, want ≥ 1.5", delta, ratio))
+		}
+		if delta == 100*time.Microsecond && pm > 3*2*delta {
+			problems = append(problems, fmt.Sprintf("δ=%v: pmpaxos took %v, want ≤ 3 × 2δ = %v", delta, pm, 3*2*delta))
+		}
+	}
+	return problems
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rdmaagreement/internal/delayclock"
+	"rdmaagreement/internal/simtime"
 	"rdmaagreement/internal/types"
 )
 
@@ -30,9 +31,11 @@ type Options struct {
 	// LegalChange is the permission-change policy. Nil means
 	// StaticPermissions (no change is ever legal).
 	LegalChange LegalChangeFunc
-	// OperationLatency, if positive, is slept before each operation
-	// completes. Used by wall-clock experiments (E8); delay-count
-	// experiments leave it zero.
+	// OperationLatency, if positive, is how long each operation takes: it
+	// completes at its issue time plus OperationLatency, sub-millisecond
+	// precise on Linux and millisecond-granular elsewhere (see simtime).
+	// Used by wall-clock experiments (E8); delay-count experiments leave
+	// it zero.
 	OperationLatency time.Duration
 }
 
@@ -242,8 +245,8 @@ func (m *Memory) RegionPermission(region types.RegionID) (Permission, error) {
 }
 
 // await simulates the memory's response behaviour: if the memory crashed the
-// call blocks until ctx is cancelled; otherwise it sleeps the configured
-// operation latency.
+// call blocks until ctx is cancelled; otherwise it waits until the operation
+// latency has passed since the call.
 func (m *Memory) await(ctx context.Context) error {
 	m.mu.Lock()
 	crashed := m.crashed
@@ -252,15 +255,11 @@ func (m *Memory) await(ctx context.Context) error {
 		<-ctx.Done()
 		return fmt.Errorf("memory %s: %w: %w", m.id, types.ErrMemoryCrashed, ctx.Err())
 	}
+	err := ctx.Err()
 	if m.opts.OperationLatency > 0 {
-		timer := time.NewTimer(m.opts.OperationLatency)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return fmt.Errorf("memory %s: %w", m.id, ctx.Err())
-		}
-	} else if err := ctx.Err(); err != nil {
+		err = simtime.Until(ctx, time.Now().Add(m.opts.OperationLatency))
+	}
+	if err != nil {
 		return fmt.Errorf("memory %s: %w", m.id, err)
 	}
 	return nil

@@ -2,9 +2,10 @@
 // model: a fully connected set of directed links with integrity and no-loss.
 //
 // Each registered process owns an Endpoint with an inbox. Sending a message
-// enqueues it on a per-link FIFO queue; a forwarder goroutine applies the
-// configured one-way delay and then delivers the message to the destination
-// inbox. Messages carry the sender's delay-clock stamp so that receivers can
+// enqueues it on a per-link FIFO queue; a forwarder goroutine delivers it to
+// the destination inbox once the configured one-way delay has passed since
+// it was sent, so a link is a pipe that carries many messages at once.
+// Messages carry the sender's delay-clock stamp so that receivers can
 // account the one-delay cost causally.
 //
 // The network also provides the fault hooks the experiments and the chaos
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"rdmaagreement/internal/delayclock"
+	"rdmaagreement/internal/simtime"
 	"rdmaagreement/internal/types"
 )
 
@@ -44,9 +46,10 @@ type Message struct {
 type Tap func(Message) bool
 
 // Jitter computes an extra delivery delay for one message, on top of the
-// link's configured one-way delay. Because each link delivers FIFO, a
-// jittered message also holds back the messages queued behind it on the same
-// link, while other links run at full speed — so a varying Jitter reorders
+// link's configured one-way delay: the message arrives at its send time plus
+// both. Because each link delivers FIFO, a jittered message also holds back
+// the messages queued behind it on the same link until its own arrival time,
+// while other links run at full speed — so a varying Jitter reorders
 // deliveries across links exactly the way real network asynchrony does,
 // without ever violating per-link FIFO. Jitter functions run concurrently on
 // every link forwarder and must be safe for concurrent use; deriving the
@@ -55,7 +58,10 @@ type Jitter func(Message) time.Duration
 
 // Options configure a Network.
 type Options struct {
-	// Delay is the one-way message delay applied by every link.
+	// Delay is the one-way message delay of every link: a message arrives
+	// at its send time plus Delay, however many others the link carries.
+	// The wait is sub-millisecond precise on Linux and millisecond-granular
+	// elsewhere (see simtime).
 	Delay time.Duration
 	// InboxCapacity is the per-process inbox buffer size. Zero means a
 	// large default.
@@ -231,9 +237,10 @@ func (n *Network) SetTap(tap Tap) {
 }
 
 // SetJitter installs an extra per-message delivery delay (nil removes it).
-// Messages already sleeping their base link delay pick the jitter up when
-// they reach the jitter point, so installation takes effect within one link
-// delay; removal likewise. See Jitter for the reordering semantics.
+// A link samples the jitter when its forwarder takes a message off the
+// queue, so messages already waiting for their arrival time keep the delay
+// they were given: installation and removal take effect within one link
+// delay. See Jitter for the reordering semantics.
 func (n *Network) SetJitter(j Jitter) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -361,8 +368,9 @@ func (n *Network) ensureLinkLocked(from, to types.ProcID) *link {
 	return lk
 }
 
-// forward delivers messages of one link in FIFO order, applying the link
-// delay, the partition, the crash set and the tap.
+// forward delivers messages of one link in FIFO order, each at its send
+// time plus the link delay and jitter, applying the partition, the crash set
+// and the tap.
 func (n *Network) forward(lk *link) {
 	defer n.wg.Done()
 	for {
@@ -375,19 +383,10 @@ func (n *Network) forward(lk *link) {
 			jitter := n.jitter
 			n.mu.RUnlock()
 			if jitter != nil {
-				if extra := jitter(msg); extra > 0 {
-					delay += extra
-				}
+				delay += max(jitter(msg), 0)
 			}
-			if delay > 0 {
-				timer := time.NewTimer(delay)
-				select {
-				case <-timer.C:
-				case <-n.ctx.Done():
-					timer.Stop()
-					return
-				}
-				timer.Stop()
+			if delay > 0 && simtime.Until(n.ctx, msg.SentAt.Add(delay)) != nil {
+				return
 			}
 			n.deliver(msg)
 		}

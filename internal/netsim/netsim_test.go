@@ -188,6 +188,35 @@ func TestDelayIsApplied(t *testing.T) {
 	}
 }
 
+// A link is a pipe, not a serial server: each message arrives one delay
+// after it was sent, however many were sent just before it on the same link.
+func TestLinkIsAPipe(t *testing.T) {
+	const delay, count = 5 * time.Millisecond, 10
+	n := newTestNetwork(t, Options{Delay: delay})
+	a := n.Register(1)
+	b := n.Register(2)
+	start := time.Now()
+	for i := range count {
+		if err := a.Send(2, "pipe", []byte{byte(i)}, 0); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for i := range count {
+		msg, err := b.Receive(ctx)
+		if err != nil {
+			t.Fatalf("Receive %d: %v", i, err)
+		}
+		if msg.Payload[0] != byte(i) {
+			t.Fatalf("out of order: got %d, want %d", msg.Payload[0], i)
+		}
+	}
+	if took := time.Since(start); took < delay || took > 5*delay {
+		t.Fatalf("%d messages on one %v link took %v, want one delay plus slack (< %v)", count, delay, took, 5*delay)
+	}
+}
+
 func TestTryReceive(t *testing.T) {
 	n := newTestNetwork(t, Options{})
 	a := n.Register(1)
