@@ -154,10 +154,8 @@ type Node struct {
 	acceptedProp types.ProposalNumber
 	acceptedVal  types.Value
 	highestSeen  types.ProposalNumber
-	decided      types.Value
-	hasDecided   bool
 
-	decidedCh chan struct{}
+	decision  types.Decision
 	responses chan response
 
 	wg     sync.WaitGroup
@@ -181,7 +179,6 @@ func New(cfg Config) (*Node, error) {
 	cfg.applyDefaults()
 	return &Node{
 		cfg:       cfg,
-		decidedCh: make(chan struct{}),
 		responses: make(chan response, 4*(len(cfg.Procs)+len(cfg.Memories))+16),
 	}, nil
 }
@@ -206,33 +203,21 @@ func (n *Node) Stop() {
 func (n *Node) Clock() *delayclock.Clock { return n.cfg.Clock }
 
 // Decided returns the learned decision, if any.
-func (n *Node) Decided() (types.Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.decided.Clone(), n.hasDecided
-}
+func (n *Node) Decided() (types.Value, bool) { return n.decision.Decided() }
 
 // WaitDecision blocks until a decision is learned.
 func (n *Node) WaitDecision(ctx context.Context) (types.Value, error) {
-	select {
-	case <-n.decidedCh:
-		v, _ := n.Decided()
-		return v, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, ctx.Err())
+	v, err := n.decision.Wait(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, err)
 	}
+	return v, nil
 }
 
 func (n *Node) learn(v types.Value) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hasDecided {
-		return
+	if n.decision.Learn(v) {
+		n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "aligned paxos learn")
 	}
-	n.decided = v.Clone()
-	n.hasDecided = true
-	close(n.decidedCh)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "aligned paxos learn")
 }
 
 func (n *Node) isLeader() bool {
@@ -336,7 +321,7 @@ func (n *Node) Propose(ctx context.Context, v types.Value) (Outcome, error) {
 		}
 		if !n.isLeader() {
 			select {
-			case <-n.decidedCh:
+			case <-n.decision.Done():
 				continue
 			case <-time.After(n.cfg.RetryDelay):
 				continue

@@ -102,15 +102,6 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// Kinds tallies the events per kind.
-func (s Schedule) Kinds() map[string]int {
-	out := make(map[string]int)
-	for _, e := range s.Events {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // Build generates cfg's fault schedule. It is a pure function of the Config:
 // it reads nothing but cfg and draws every choice from a rand.Source seeded
 // with cfg.Seed, so the same Config always yields the identical Schedule.

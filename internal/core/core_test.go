@@ -328,3 +328,49 @@ func TestLeaseRuntimePartitionedHolderDeposed(t *testing.T) {
 		t.Fatalf("takeover kept the partitioned holder %v", holder)
 	}
 }
+
+// TestWaitDecisionPrefersLearnedValue decides a single-shot instance of each
+// protocol with a decide-once learner, then polls the decider's WaitDecision
+// with an already-cancelled context: a value the node has learned must be
+// returned every time, never the context's error.
+func TestWaitDecisionPrefersLearnedValue(t *testing.T) {
+	type waiter interface {
+		WaitDecision(ctx context.Context) (types.Value, error)
+	}
+	nodeOf := func(p Proposer) waiter {
+		switch a := p.(type) {
+		case *pmPaxosProposer:
+			return a.node
+		case *paxosProposer:
+			return a.node
+		case *alignedProposer:
+			return a.node
+		}
+		t.Fatalf("no decide-once node behind %T", p)
+		return nil
+	}
+	for _, protocol := range []Protocol{ProtocolProtectedMemoryPaxos, ProtocolPaxos, ProtocolAlignedPaxos} {
+		t.Run(string(protocol), func(t *testing.T) {
+			cluster, err := NewCluster(protocol, Options{Processes: 3, Memories: 3})
+			if err != nil {
+				t.Fatalf("NewCluster(%s): %v", protocol, err)
+			}
+			t.Cleanup(cluster.Close)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			leader := cluster.Proposer(cluster.Leader())
+			if _, err := leader.Propose(ctx, types.Value("decided")); err != nil {
+				t.Fatalf("Propose(%s): %v", protocol, err)
+			}
+			node := nodeOf(leader)
+			done, stop := context.WithCancel(context.Background())
+			stop()
+			for i := 0; i < 200; i++ {
+				v, err := node.WaitDecision(done)
+				if err != nil || !v.Equal(types.Value("decided")) {
+					t.Fatalf("WaitDecision %d with a cancelled context = %v, %v; want the decided value", i, v, err)
+				}
+			}
+		})
+	}
+}

@@ -33,19 +33,6 @@ func Marker(cg *ast.CommentGroup, name string) (args string, ok bool) {
 	return "", false
 }
 
-// MarkerPos is Marker plus the position of the matched comment.
-func MarkerPos(cg *ast.CommentGroup, name string) (args string, pos token.Pos, ok bool) {
-	if cg == nil {
-		return "", token.NoPos, false
-	}
-	for _, c := range cg.List {
-		if rest, found := cutMarker(c.Text, name); found {
-			return rest, c.Pos(), true
-		}
-	}
-	return "", token.NoPos, false
-}
-
 func cutMarker(text, name string) (string, bool) {
 	if !strings.HasPrefix(text, prefix) {
 		return "", false

@@ -56,13 +56,14 @@ type Delivery struct {
 	Msg  []byte
 }
 
+// deliveryBuffer sizes the Deliveries channel.
+const deliveryBuffer = 1024
+
 // Options configure a Broadcaster.
 type Options struct {
 	// PollInterval is the pause between delivery attempts when no new
 	// message is available. Zero means 1ms.
 	PollInterval time.Duration
-	// DeliveryBuffer sizes the Deliveries channel. Zero means 1024.
-	DeliveryBuffer int
 	// Recorder, if non-nil, receives broadcast/deliver trace events.
 	Recorder *trace.Recorder
 }
@@ -92,9 +93,6 @@ func New(self types.ProcID, procs []types.ProcID, store *regreg.Store, signer *s
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = time.Millisecond
 	}
-	if opts.DeliveryBuffer <= 0 {
-		opts.DeliveryBuffer = 1024
-	}
 	b := &Broadcaster{
 		self:       self,
 		procs:      append([]types.ProcID(nil), procs...),
@@ -103,7 +101,7 @@ func New(self types.ProcID, procs []types.ProcID, store *regreg.Store, signer *s
 		opts:       opts,
 		nextSeq:    1,
 		last:       make(map[types.ProcID]uint64, len(procs)),
-		deliveries: make(chan Delivery, opts.DeliveryBuffer),
+		deliveries: make(chan Delivery, deliveryBuffer),
 	}
 	for _, p := range procs {
 		b.last[p] = 1

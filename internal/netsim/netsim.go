@@ -63,17 +63,11 @@ type Options struct {
 	// The wait is sub-millisecond precise on Linux and millisecond-granular
 	// elsewhere (see simtime).
 	Delay time.Duration
-	// InboxCapacity is the per-process inbox buffer size. Zero means a
-	// large default.
-	InboxCapacity int
-	// LinkQueueCapacity is the per-link queue size. Zero means a large
-	// default.
-	LinkQueueCapacity int
 }
 
 const (
-	defaultInboxCapacity = 4096
-	defaultLinkCapacity  = 4096
+	inboxCapacity = 4096 // per-process inbox buffer
+	linkCapacity  = 4096 // per-link queue
 )
 
 // Counters tallies network activity for experiment metrics.
@@ -169,12 +163,6 @@ type Network struct {
 
 // New creates a network with the given options.
 func New(opts Options) *Network {
-	if opts.InboxCapacity <= 0 {
-		opts.InboxCapacity = defaultInboxCapacity
-	}
-	if opts.LinkQueueCapacity <= 0 {
-		opts.LinkQueueCapacity = defaultLinkCapacity
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Network{
 		opts:      opts,
@@ -212,7 +200,7 @@ func (n *Network) Register(p types.ProcID) *Endpoint {
 	if ep, ok := n.endpoints[p]; ok {
 		return ep
 	}
-	ep := &Endpoint{id: p, inbox: make(chan Message, n.opts.InboxCapacity), net: n}
+	ep := &Endpoint{id: p, inbox: make(chan Message, inboxCapacity), net: n}
 	n.endpoints[p] = ep
 	return ep
 }
@@ -361,7 +349,7 @@ func (n *Network) ensureLinkLocked(from, to types.ProcID) *link {
 	if lk, ok := n.links[key]; ok {
 		return lk
 	}
-	lk := &link{queue: make(chan Message, n.opts.LinkQueueCapacity)}
+	lk := &link{queue: make(chan Message, linkCapacity)}
 	n.links[key] = lk
 	n.wg.Add(1)
 	go n.forward(lk)
@@ -409,9 +397,13 @@ func (n *Network) deliver(msg Message) {
 		n.counters.Dropped.Add(1)
 		return
 	}
+	// Count the delivery before the hand-off, so a receiver that holds the
+	// message never reads a counter that lacks it; a shutdown that abandons
+	// the message takes the count back.
+	n.counters.Delivered.Add(1)
 	select {
 	case ep.inbox <- msg:
-		n.counters.Delivered.Add(1)
 	case <-n.ctx.Done():
+		n.counters.Delivered.Add(-1)
 	}
 }

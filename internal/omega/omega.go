@@ -3,19 +3,18 @@
 // of Fast & Robust): an oracle that eventually reports the same correct
 // process as leader at every correct process.
 //
-// Two implementations are provided. Static is a trivially correct oracle for
-// tests and common-case experiments (the paper measures the common case where
-// the initial leader never changes). Detector is a heartbeat-based eventual
-// leader elector over the simulated network; it elects the smallest process
-// identifier that is not currently suspected.
+// Two implementations are provided. Static is a trivially correct oracle
+// whose leader is set explicitly: tests and common-case experiments use it
+// (the paper measures the common case where the initial leader never
+// changes), and so does a recovery instance, which pins its recovery
+// proposer as leader. LeaseDetector (lease.go) is the one a cluster runs: a
+// lease-granting failure detector whose heartbeat-renewed leases carry
+// monotone epochs, so that a takeover fences the deposed holder.
 package omega
 
 import (
-	"context"
 	"sync"
-	"time"
 
-	"rdmaagreement/internal/netsim"
 	"rdmaagreement/internal/types"
 )
 
@@ -49,148 +48,4 @@ func (s *Static) SetLeader(p types.ProcID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.leader = p
-}
-
-// HeartbeatKind is the message kind used by Detector heartbeats; routers
-// should dedicate this prefix to the detector.
-const HeartbeatKind = "omega/heartbeat"
-
-// DetectorOptions configure a Detector.
-type DetectorOptions struct {
-	// Period between heartbeats. Zero means 5ms.
-	Period time.Duration
-	// Timeout after which a silent process is suspected. Zero means 4×Period.
-	Timeout time.Duration
-}
-
-// Detector is a heartbeat-based Ω implementation. Each correct process
-// periodically broadcasts a heartbeat; a process suspects peers whose
-// heartbeats it has not seen within the timeout and trusts the smallest
-// unsuspected identifier (itself included) as leader.
-type Detector struct {
-	self  types.ProcID
-	procs []types.ProcID
-	ep    *netsim.Endpoint
-	in    <-chan netsim.Message
-	opts  DetectorOptions
-
-	mu       sync.RWMutex
-	lastSeen map[types.ProcID]time.Time
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-}
-
-var _ Oracle = (*Detector)(nil)
-
-// NewDetector creates a detector for process self among procs, using the
-// router subscription in for incoming heartbeats and ep for sending.
-func NewDetector(self types.ProcID, procs []types.ProcID, ep *netsim.Endpoint, in <-chan netsim.Message, opts DetectorOptions) *Detector {
-	if opts.Period <= 0 {
-		opts.Period = 5 * time.Millisecond
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 4 * opts.Period
-	}
-	d := &Detector{
-		self:     self,
-		procs:    append([]types.ProcID(nil), procs...),
-		ep:       ep,
-		in:       in,
-		opts:     opts,
-		lastSeen: make(map[types.ProcID]time.Time),
-	}
-	now := time.Now()
-	for _, p := range procs {
-		d.lastSeen[p] = now
-	}
-	return d
-}
-
-// Start launches the heartbeat sender and receiver goroutines. Stop must be
-// called to terminate them.
-func (d *Detector) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	d.cancel = cancel
-	d.wg.Add(2)
-	go d.sendLoop(ctx)
-	go d.recvLoop(ctx)
-}
-
-// Stop terminates the detector's goroutines and waits for them to exit.
-func (d *Detector) Stop() {
-	if d.cancel != nil {
-		d.cancel()
-	}
-	d.wg.Wait()
-}
-
-func (d *Detector) sendLoop(ctx context.Context) {
-	defer d.wg.Done()
-	ticker := time.NewTicker(d.opts.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			// Errors (for example, the process was crashed by the fault
-			// injector) simply mean peers will stop seeing our heartbeats.
-			_ = d.ep.Broadcast(HeartbeatKind, nil, 0)
-		}
-	}
-}
-
-func (d *Detector) recvLoop(ctx context.Context) {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg := <-d.in:
-			d.mu.Lock()
-			d.lastSeen[msg.From] = time.Now()
-			d.mu.Unlock()
-		}
-	}
-}
-
-// Leader returns the smallest process identifier that is not currently
-// suspected. The detector always trusts itself.
-func (d *Detector) Leader() types.ProcID {
-	now := time.Now()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	leader := d.self
-	for _, p := range d.procs {
-		if p == d.self {
-			if p < leader {
-				leader = p
-			}
-			continue
-		}
-		if now.Sub(d.lastSeen[p]) <= d.opts.Timeout {
-			if p < leader {
-				leader = p
-			}
-		}
-	}
-	return leader
-}
-
-// Suspects returns the set of processes currently suspected by this detector.
-func (d *Detector) Suspects() types.ProcSet {
-	now := time.Now()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := types.NewProcSet()
-	for _, p := range d.procs {
-		if p == d.self {
-			continue
-		}
-		if now.Sub(d.lastSeen[p]) > d.opts.Timeout {
-			out = out.Add(p)
-		}
-	}
-	return out
 }

@@ -2,9 +2,7 @@ package omega
 
 import (
 	"testing"
-	"time"
 
-	"rdmaagreement/internal/netsim"
 	"rdmaagreement/internal/types"
 )
 
@@ -20,92 +18,5 @@ func TestStaticOracle(t *testing.T) {
 	var zero Static
 	if zero.Leader() != types.NoProcess {
 		t.Fatalf("zero static oracle should report no process")
-	}
-}
-
-type detectorCluster struct {
-	net       *netsim.Network
-	routers   map[types.ProcID]*netsim.Router
-	detectors map[types.ProcID]*Detector
-}
-
-func newDetectorCluster(t *testing.T, procs []types.ProcID, opts DetectorOptions) *detectorCluster {
-	t.Helper()
-	c := &detectorCluster{
-		net:       netsim.New(netsim.Options{}),
-		routers:   make(map[types.ProcID]*netsim.Router),
-		detectors: make(map[types.ProcID]*Detector),
-	}
-	t.Cleanup(c.net.Close)
-	for _, p := range procs {
-		ep := c.net.Register(p)
-		router := netsim.NewRouter(ep)
-		c.routers[p] = router
-		in := router.Subscribe(HeartbeatKind, 0)
-		c.detectors[p] = NewDetector(p, procs, ep, in, opts)
-	}
-	for p, d := range c.detectors {
-		d.Start()
-		c.detectors[p] = d
-	}
-	t.Cleanup(func() {
-		for _, d := range c.detectors {
-			d.Stop()
-		}
-		for _, r := range c.routers {
-			r.Close()
-		}
-	})
-	return c
-}
-
-func eventually(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("condition not reached within %v: %s", timeout, msg)
-}
-
-func TestDetectorElectsSmallestAliveProcess(t *testing.T) {
-	procs := []types.ProcID{1, 2, 3}
-	c := newDetectorCluster(t, procs, DetectorOptions{Period: 2 * time.Millisecond})
-	eventually(t, 2*time.Second, func() bool {
-		for _, d := range c.detectors {
-			if d.Leader() != 1 {
-				return false
-			}
-		}
-		return true
-	}, "all detectors should elect p1")
-}
-
-func TestDetectorFailsOverWhenLeaderCrashes(t *testing.T) {
-	procs := []types.ProcID{1, 2, 3}
-	c := newDetectorCluster(t, procs, DetectorOptions{Period: 2 * time.Millisecond})
-	eventually(t, 2*time.Second, func() bool { return c.detectors[2].Leader() == 1 }, "initial leader should be p1")
-
-	c.net.CrashProcess(1)
-	eventually(t, 2*time.Second, func() bool {
-		return c.detectors[2].Leader() == 2 && c.detectors[3].Leader() == 2
-	}, "after p1 crashes the surviving processes should elect p2")
-
-	if !c.detectors[3].Suspects().Contains(1) {
-		t.Fatalf("p3 should suspect the crashed p1")
-	}
-}
-
-func TestDetectorDefaults(t *testing.T) {
-	d := NewDetector(1, []types.ProcID{1}, nil, nil, DetectorOptions{})
-	if d.opts.Period <= 0 || d.opts.Timeout <= 0 {
-		t.Fatalf("defaults not applied: %+v", d.opts)
-	}
-	// A detector that knows only itself trusts itself.
-	if d.Leader() != 1 {
-		t.Fatalf("self-only detector should elect itself")
 	}
 }

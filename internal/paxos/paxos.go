@@ -119,10 +119,8 @@ type Node struct {
 	acceptedProp types.ProposalNumber
 	acceptedVal  types.Value
 	highestSeen  types.ProposalNumber
-	decided      types.Value
-	hasDecided   bool
 
-	decidedCh chan struct{}
+	decision  types.Decision
 	responses chan Message
 
 	wg     sync.WaitGroup
@@ -135,7 +133,6 @@ func NewNode(cfg Config, tr Transport) *Node {
 	return &Node{
 		cfg:       cfg,
 		tr:        tr,
-		decidedCh: make(chan struct{}),
 		responses: make(chan Message, 4*len(cfg.Procs)+16),
 	}
 }
@@ -160,30 +157,15 @@ func (n *Node) Stop() {
 func (n *Node) Clock() *delayclock.Clock { return n.cfg.Clock }
 
 // Decided returns the decided value, if any.
-func (n *Node) Decided() (types.Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.decided.Clone(), n.hasDecided
-}
+func (n *Node) Decided() (types.Value, bool) { return n.decision.Decided() }
 
 // WaitDecision blocks until the node learns a decision or ctx is cancelled.
 func (n *Node) WaitDecision(ctx context.Context) (types.Value, error) {
-	select {
-	case <-n.decidedCh:
-		v, _ := n.Decided()
-		return v, nil
-	case <-ctx.Done():
-		// Both channels may be ready; prefer the decision so a learner
-		// polled with an already-expired context still reports a value it
-		// has in fact learned.
-		select {
-		case <-n.decidedCh:
-			v, _ := n.Decided()
-			return v, nil
-		default:
-		}
-		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, ctx.Err())
+	v, err := n.decision.Wait(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, err)
 	}
+	return v, nil
 }
 
 // quorum is the number of responses a proposer waits for: a majority of the
@@ -271,15 +253,9 @@ func (n *Node) handleAccept(ctx context.Context, msg Message) {
 }
 
 func (n *Node) learn(v types.Value) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hasDecided {
-		return
+	if n.decision.Learn(v) {
+		n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "paxos learn")
 	}
-	n.decided = v.Clone()
-	n.hasDecided = true
-	close(n.decidedCh)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "paxos learn")
 }
 
 func (n *Node) send(ctx context.Context, to types.ProcID, msg Message) {
@@ -322,7 +298,7 @@ func (n *Node) Propose(ctx context.Context, v types.Value) (types.Value, error) 
 		if !n.isLeader() {
 			// Wait for leadership or for someone else's decision.
 			select {
-			case <-n.decidedCh:
+			case <-n.decision.Done():
 				continue
 			case <-time.After(n.cfg.RoundTimeout):
 				continue
@@ -347,6 +323,7 @@ func (n *Node) runRound(ctx context.Context, v types.Value) (types.Value, bool, 
 	ballot := n.highestSeen.Next(n.cfg.Self, n.minProposal)
 	n.highestSeen = ballot
 	n.mu.Unlock()
+	decided := n.decision.Done()
 
 	// Phase 1: prepare / promise.
 	n.drainResponses()
@@ -374,7 +351,7 @@ func (n *Node) runRound(ctx context.Context, v types.Value) (types.Value, bool, 
 			}
 		case <-deadline:
 			return nil, false, nil
-		case <-n.decidedCh:
+		case <-decided:
 			value, _ := n.Decided()
 			return value, true, nil
 		case <-ctx.Done():
@@ -401,7 +378,7 @@ func (n *Node) runRound(ctx context.Context, v types.Value) (types.Value, bool, 
 			}
 		case <-deadline:
 			return nil, false, nil
-		case <-n.decidedCh:
+		case <-decided:
 			value, _ := n.Decided()
 			return value, true, nil
 		case <-ctx.Done():

@@ -233,12 +233,10 @@ type Node struct {
 	mu          sync.Mutex
 	highestSeen types.ProposalNumber
 	firstTry    bool
-	decided     types.Value
-	hasDecided  bool
 
-	decidedCh chan struct{}
-	wg        sync.WaitGroup
-	cancel    context.CancelFunc
+	decision types.Decision
+	wg       sync.WaitGroup
+	cancel   context.CancelFunc
 }
 
 // New creates a Protected Memory Paxos participant.
@@ -247,7 +245,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("protected memory paxos: %w", err)
 	}
 	cfg.applyDefaults()
-	return &Node{cfg: cfg, firstTry: true, decidedCh: make(chan struct{})}, nil
+	return &Node{cfg: cfg, firstTry: true}, nil
 }
 
 // Start launches the decision-learning loop when an endpoint was configured.
@@ -285,43 +283,22 @@ func (n *Node) Stop() {
 func (n *Node) Clock() *delayclock.Clock { return n.cfg.Clock }
 
 // Decided returns the learned decision, if any.
-func (n *Node) Decided() (types.Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.decided.Clone(), n.hasDecided
-}
+func (n *Node) Decided() (types.Value, bool) { return n.decision.Decided() }
 
 // WaitDecision blocks until this process learns a decision (through its own
 // proposal or a decide broadcast).
 func (n *Node) WaitDecision(ctx context.Context) (types.Value, error) {
-	select {
-	case <-n.decidedCh:
-		v, _ := n.Decided()
-		return v, nil
-	case <-ctx.Done():
-		// Both channels may be ready; prefer the decision so a learner
-		// polled with an already-expired context still reports a value it
-		// has in fact learned.
-		select {
-		case <-n.decidedCh:
-			v, _ := n.Decided()
-			return v, nil
-		default:
-		}
-		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, ctx.Err())
+	v, err := n.decision.Wait(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, err)
 	}
+	return v, nil
 }
 
 func (n *Node) learn(v types.Value) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hasDecided {
-		return
+	if n.decision.Learn(v) {
+		n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "protected memory paxos learn")
 	}
-	n.decided = v.Clone()
-	n.hasDecided = true
-	close(n.decidedCh)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "protected memory paxos learn")
 }
 
 func (n *Node) isLeader() bool {
@@ -368,7 +345,7 @@ func (n *Node) Propose(ctx context.Context, v types.Value) (Outcome, error) {
 		}
 		if !n.isLeader() {
 			select {
-			case <-n.decidedCh:
+			case <-n.decision.Done():
 				continue
 			case <-time.After(n.cfg.RetryDelay):
 				continue

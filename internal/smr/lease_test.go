@@ -363,3 +363,115 @@ func TestDeciderOfTracksProposer(t *testing.T) {
 		t.Fatalf("DeciderOf reported an undecided slot")
 	}
 }
+
+// TestDoubleTransferFencesMidRecovery moves the lease twice in quick
+// succession while pipelined slots are in flight. The first transfer fences
+// epoch 1's attempts into recovery; the second lands while those recovery
+// rounds run, so each is fenced again and re-run under the newest holder
+// without consuming a recovery attempt (the epochRetryBound path). Across
+// both fences every waiter gets a committed result or ErrLeaseLost, every
+// acknowledged command is in the log exactly once, no ErrLeaseLost command
+// is, and slots committed after the second transfer carry the final epoch.
+func TestDoubleTransferFencesMidRecovery(t *testing.T) {
+	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts.Pipeline = 4
+	opts.MaxBatch = 1
+	opts.SnapshotInterval = -1 // retain every entry for the exactly-once audit
+	opts.Cluster.MemoryLatency = time.Millisecond
+	opts.ReplicaCatchUp = 200 * time.Millisecond
+	l := newTestLog(t, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	var mu sync.Mutex
+	results := make(map[string]error) // command → Propose's error
+	acked := make(map[string]uint64)  // command → returned index
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := 0; ; seq++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cmd := fmt.Sprintf("w%d/%d", w, seq)
+				index, _, err := l.Propose(ctx, []byte(cmd))
+				mu.Lock()
+				results[cmd] = err
+				if err == nil {
+					acked[cmd] = index
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+
+	// Let the pipeline fill, then transfer twice: the second transfer waits
+	// only until the committer has adopted the first and its fenced slots
+	// have begun their recovery rounds (each pays several 1 ms memory
+	// round trips).
+	time.Sleep(50 * time.Millisecond)
+	procs := l.Cluster().Procs
+	l.Cluster().SetLeader(procs[1])
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, epoch, _ := l.leaseView(); epoch >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("committer never adopted the first transfer's epoch")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(2 * time.Millisecond)
+	l.Cluster().SetLeader(procs[2])
+	final := l.Cluster().LeaseEpoch()
+	time.Sleep(200 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for cmd, err := range results {
+		if err != nil && !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("Propose(%s) failed with %v, want success or ErrLeaseLost", cmd, err)
+		}
+	}
+	seen := make(map[string]int)
+	for i := uint64(0); i < l.Len(); i++ {
+		e, ok := l.Get(i)
+		if !ok {
+			t.Fatalf("Get(%d): gap in the committed log (Len %d)", i, l.Len())
+		}
+		seen[string(e.Cmd)]++
+	}
+	for cmd, index := range acked {
+		if seen[cmd] != 1 {
+			t.Fatalf("acked command %q appears %d times in the log, want exactly once", cmd, seen[cmd])
+		}
+		if e, ok := l.Get(index); !ok || string(e.Cmd) != cmd {
+			t.Fatalf("acked command %q not at its returned index %d (got %q, %v)", cmd, index, e.Cmd, ok)
+		}
+	}
+	for cmd, err := range results {
+		if errors.Is(err, ErrLeaseLost) && seen[cmd] != 0 {
+			t.Fatalf("ErrLeaseLost command %q IS committed (%d times)", cmd, seen[cmd])
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		index, _, err := l.Propose(ctx, []byte(fmt.Sprintf("after/%d", i)))
+		if err != nil {
+			t.Fatalf("Propose after the transfers: %v", err)
+		}
+		e, _ := l.Get(index)
+		decider, ok := l.DeciderOf(e.Slot)
+		if !ok || decider.Epoch != final || decider.Proposer != procs[2] {
+			t.Fatalf("DeciderOf(%d) = %+v, %v; want %s under the final epoch %d", e.Slot, decider, ok, procs[2], final)
+		}
+	}
+}

@@ -61,6 +61,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdmaagreement/internal/core"
@@ -311,13 +312,12 @@ type Log struct {
 	nextID       uint64                        // guarded by mu
 	holder       types.ProcID                  // guarded by mu; lease holder the committer proposes from
 	epoch        uint64                        // guarded by mu; lease epoch the committer has adopted
-	epochCtx     context.Context               // guarded by mu; cancelled when the adopted epoch is superseded
+	epochCtx     context.Context               // guarded by mu; the worker context's child, cancelled when the adopted epoch is superseded
 	epochCancel  context.CancelFunc            // guarded by mu; fences epochCtx
-	deciders     map[uint64]SlotDecider        // guarded by mu; per retained slot: who drove its decision, under which epoch
+	deciders     []SlotDecider                 // guarded by mu; per retained slot, in slot order: who drove its decision, under which epoch
 	entries      []Entry                       // guarded by mu; committed entries since the last truncation
 	firstIndex   uint64                        // guarded by mu; index of entries[0]
-	slots        []types.Value                 // guarded by mu; decided value per retained slot, in slot order
-	firstSlot    uint64                        // guarded by mu; slot of slots[0]
+	firstSlot    uint64                        // guarded by mu; slot of deciders[0]
 	sinceSnap    int                           // guarded by mu; entries applied since the last snapshot
 	sinceSlots   int                           // guarded by mu; slots decided since the last truncation
 	snapFailures int                           // guarded by mu; failed Snapshot() attempts
@@ -338,19 +338,8 @@ type Log struct {
 	wg     sync.WaitGroup
 }
 
-// originCounter gives each Log a process-wide unique origin tag for its
-// batches.
-var originCounter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func nextOrigin() uint64 {
-	originCounter.mu.Lock()
-	defer originCounter.mu.Unlock()
-	originCounter.n++
-	return originCounter.n
-}
+// origins gives each Log a process-wide unique origin tag for its batches.
+var origins atomic.Uint64
 
 // NewLog builds the long-lived cluster, instantiates the state machines and
 // starts the committer.
@@ -373,15 +362,17 @@ func NewLog(opts Options) (*Log, error) {
 	}
 	probe.Close()
 
+	// Close cancels ctx; workers, its child, is also cancelled when the
+	// committer halts, and every epoch's context is derived from it.
 	ctx, cancel := context.WithCancel(context.Background())
+	workers, stopWorkers := context.WithCancel(ctx)
 	l := &Log{
 		opts:         opts,
 		cluster:      cluster,
-		origin:       nextOrigin(),
+		origin:       origins.Add(1),
 		leaseEnabled: opts.Cluster.LeaseDuration > 0,
 		m:            newLogMetrics(opts.Metrics),
 		sm:           opts.NewSM(),
-		deciders:     make(map[uint64]SlotDecider),
 		replicas:     make(map[types.ProcID]*replicaView, len(cluster.Procs)),
 		lagging:      make(map[types.ProcID]bool),
 		notify:       make(chan struct{}, 1),
@@ -390,14 +381,14 @@ func NewLog(opts Options) (*Log, error) {
 	l.applied = sync.NewCond(&l.mu)
 	lease := cluster.Lease()
 	l.holder, l.epoch = lease.Holder, lease.Epoch
-	l.epochCtx, l.epochCancel = context.WithCancel(context.Background())
+	l.epochCtx, l.epochCancel = context.WithCancel(workers)
 	l.stats.PipelineDepth = opts.Pipeline
 	for _, p := range cluster.Procs {
 		l.replicas[p] = &replicaView{sm: opts.NewSM(), learned: make(map[uint64]types.Value)}
 	}
 	l.wg.Add(2)
-	go l.commitLoop(ctx)
-	go l.leaseWatch(ctx)
+	go l.commitLoop(workers, stopWorkers)
+	go l.leaseWatch(ctx, workers)
 	return l, nil
 }
 
@@ -407,8 +398,10 @@ func NewLog(opts Options) (*Log, error) {
 // and the superseded epoch's context is cancelled, fencing its in-flight
 // proposals — their workers fall into the recovery path, which re-runs the
 // slots from the new holder with a full phase 1 (permission steal) so
-// nothing can decide under the dead epoch.
-func (l *Log) leaseWatch(ctx context.Context) {
+// nothing can decide under the dead epoch. Each epoch's context is a child
+// of workers, so one context carries both the fence and the committer's
+// shutdown.
+func (l *Log) leaseWatch(ctx, workers context.Context) {
 	defer l.wg.Done()
 	changes := l.cluster.Oracle.Changes()
 	for {
@@ -425,7 +418,7 @@ func (l *Log) leaseWatch(ctx context.Context) {
 			superseded := l.epoch
 			l.holder, l.epoch = lease.Holder, lease.Epoch
 			fence := l.epochCancel
-			l.epochCtx, l.epochCancel = context.WithCancel(context.Background())
+			l.epochCtx, l.epochCancel = context.WithCancel(workers)
 			l.mu.Unlock()
 			fence()
 			l.traceEvent(lease.Holder, trace.KindEpochFence,
@@ -435,8 +428,8 @@ func (l *Log) leaseWatch(ctx context.Context) {
 }
 
 // leaseView snapshots the committer's lease state: the holder to propose
-// from, the adopted epoch, and the context fenced when that epoch is
-// superseded.
+// from, the adopted epoch, and the epoch's context, which is cancelled when
+// that epoch is superseded or the committer stops.
 func (l *Log) leaseView() (types.ProcID, uint64, context.Context) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -448,14 +441,6 @@ func (l *Log) leaseView() (types.ProcID, uint64, context.Context) {
 // static lease justifies nothing, the barrier path keeps its semantics).
 func (l *Log) leaseValid() bool {
 	return l.leaseEnabled && l.cluster.Lease().Valid(time.Now())
-}
-
-// fenceContext derives a context cancelled when either the caller's context
-// ends or the given epoch context is fenced by a takeover.
-func fenceContext(ctx, epochCtx context.Context) (context.Context, context.CancelFunc) {
-	merged, cancel := context.WithCancel(ctx)
-	stop := context.AfterFunc(epochCtx, cancel)
-	return merged, func() { stop(); cancel() }
 }
 
 // Cluster exposes the underlying long-lived cluster (for fault injection in
@@ -475,7 +460,6 @@ func (l *Log) Close() {
 
 	l.cancel()
 	l.wg.Wait() // the committer's terminate fails whatever it abandons
-	l.epochCancel()
 	// A closed group runs no pipeline: zero the adaptive depth (after the
 	// committer exited, so a worker's last report cannot overwrite it) so
 	// aggregators that take a minimum across groups can tell "closed" apart
@@ -852,8 +836,10 @@ type SlotDecider struct {
 func (l *Log) DeciderOf(slot uint64) (SlotDecider, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d, ok := l.deciders[slot]
-	return d, ok
+	if slot < l.firstSlot || slot-l.firstSlot >= uint64(len(l.deciders)) {
+		return SlotDecider{}, false
+	}
+	return l.deciders[slot-l.firstSlot], true
 }
 
 // Snapshots returns how many snapshots the committer has taken.
@@ -906,7 +892,7 @@ func cloneEntry(e Entry) Entry {
 func (l *Log) Slots() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.firstSlot + uint64(len(l.slots))
+	return l.firstSlot + uint64(len(l.deciders))
 }
 
 // ReplicaLog returns the command sequence process p has learned over the
@@ -923,7 +909,7 @@ func (l *Log) ReplicaLog(p types.ProcID) ([][]byte, bool) {
 		return nil, false
 	}
 	var out [][]byte
-	last := l.firstSlot + uint64(len(l.slots))
+	last := l.firstSlot + uint64(len(l.deciders))
 	for slot := l.firstSlot; slot < last; slot++ {
 		raw, ok := view.learned[slot]
 		if !ok {
@@ -973,8 +959,7 @@ type slotOutcome struct {
 	slot      uint64
 	decided   types.Value
 	w         work
-	proposer  types.ProcID
-	epoch     uint64
+	by        SlotDecider
 	recovered bool
 	fenced    bool
 	decidedAt time.Time // when the worker finished (CommitWait span starts here)
@@ -1000,11 +985,10 @@ type slotOutcome struct {
 // immediately instead of waiting for its losing slot to drain through the
 // in-order apply path, so the re-proposals of multiple ambiguous slots run
 // concurrently, bounded only by the pipeline depth.
-func (l *Log) commitLoop(ctx context.Context) {
+func (l *Log) commitLoop(workers context.Context, cancelWorkers context.CancelFunc) {
 	defer l.wg.Done()
 	depth := l.opts.Pipeline // live adaptive depth, ≤ Options.Pipeline
 	cleanStreak := 0         // consecutive clean outcomes since the last backoff
-	workerCtx, cancelWorkers := context.WithCancel(ctx)
 	defer cancelWorkers()
 	// Each worker sends exactly one outcome and at most Options.Pipeline are
 	// in flight, so the buffer guarantees workers never block on a departing
@@ -1013,7 +997,7 @@ func (l *Log) commitLoop(ctx context.Context) {
 	reorder := make(map[uint64]slotOutcome) // decided out of order, awaiting their turn
 	var retry []work                        // displaced batches, re-dispatched before new work
 	nextSlot := uint64(0)                   // next slot to hand to a worker
-	nextApply := uint64(0)                  // next slot to forward (== firstSlot + len(slots) eventually)
+	nextApply := uint64(0)                  // next slot to forward (== firstSlot + len(deciders) eventually)
 	inflight := 0
 	var horizon *time.Timer // BatchWait: wakes the dispatcher when a held queue is due
 
@@ -1179,12 +1163,14 @@ func (l *Log) commitLoop(ctx context.Context) {
 			w.dispatchedAt = time.Now() // Agreement opens per dispatch, re-dispatches included
 			l.m.batches.Inc()
 			l.m.inflight.Add(1)
-			go l.driveSlot(workerCtx, slot, w, results)
+			go l.driveSlot(workers, slot, w, results)
 		}
 
 		select {
-		case <-ctx.Done():
-			terminate(ctx.Err(), nil)
+		case <-workers.Done():
+			// Only Close cancels workers while the loop runs: every other
+			// path that cancels it goes through terminate.
+			terminate(workers.Err(), nil)
 			return
 		case err := <-applyFailed:
 			terminate(err, nil)
@@ -1228,7 +1214,7 @@ func (l *Log) applyLoop(in <-chan slotOutcome, failedOut chan<- error, done chan
 		// the in-order commit step itself.
 		l.m.commitWait.Observe(time.Since(r.decidedAt))
 		applyStart := time.Now()
-		won, err := l.recordSlot(r.slot, r.decided, r.w.batch, SlotDecider{Proposer: r.proposer, Epoch: r.epoch})
+		won, err := l.recordSlot(r.slot, r.decided, r.w.batch, r.by)
 		if err != nil {
 			ended = l.end(err)
 			failedOut <- err
@@ -1320,58 +1306,64 @@ func (l *Log) takeBatch() ([]queued, time.Duration) {
 // the dispatcher commits the winner at this slot and re-dispatches ours at a
 // later one, preserving its internal order; the batch's read barriers, too,
 // wait for our own slot, as only then is the read index known to cover every
-// command decided before it.
-func (l *Log) driveSlot(ctx context.Context, slot uint64, w work, results chan<- slotOutcome) {
-	out := l.commitSlot(ctx, slot, w)
-	out.decidedAt = time.Now()
-	results <- out
-}
-
-func (l *Log) commitSlot(ctx context.Context, slot uint64, w work) slotOutcome {
+// command decided before it. workers is the committer's worker context:
+// cancelled by Close or by another slot's halt.
+func (l *Log) driveSlot(workers context.Context, slot uint64, w work, results chan<- slotOutcome) {
 	out := slotOutcome{slot: slot, w: w}
 	// One flat, right-sized allocation per slot: the binary framing is built
 	// straight from the batch, barriers skipped in place.
 	blob := encodeBatchFrom(l.origin, w.batch)
-
 	holder, epoch, epochCtx := l.leaseView()
-	inst, err := l.cluster.NewInstance(slot)
+	out.by = SlotDecider{Proposer: holder, Epoch: epoch}
+	out.decided, out.err = l.attempt(epochCtx, slot, holder, false, blob)
+	// A failure once workers has ended is a shutdown — Close or another
+	// slot's halt — not an ambiguous outcome; the dispatcher owns the
+	// waiters.
+	if out.err != nil && workers.Err() == nil {
+		// The slot timed out mid-agreement or was fenced by a takeover, so
+		// its outcome is ambiguous: the batch may already be durable in the
+		// slot's substrate (a phase-2 write can reach a quorum before the
+		// timeout or fence fires), in which case retrying a different value
+		// at the same slot could re-decide the old batch under a new batch's
+		// name, and skipping the slot would commit a gap. Run a recovery
+		// round to learn the slot's true fate instead of halting the group.
+		out.fenced, out.recovered = epochCtx.Err() != nil, true
+		out.decided, out.by, out.err = l.recoverSlot(workers, slot, blob, holder, out.err)
+	}
+	out.decidedAt = time.Now()
+	results <- out
+}
+
+// attempt runs one proposal at slot from proposer and returns the decided
+// value: it builds the slot's instance — laid out for the lease holder on a
+// regular attempt, led by proposer on a recovery round — runs it, records
+// the proposer's view, waits for the other replicas to learn and closes the
+// instance. Every attempt, regular or recovery, runs under its epoch's
+// context: a takeover cancels it mid-flight so a deposed holder's proposal
+// cannot decide after its epoch ended — the recovery path then re-runs the
+// slot from the new holder, whose phase-1 permission steal makes the fence
+// durable in the memories. SlotTimeout bounds the proposal itself.
+func (l *Log) attempt(epochCtx context.Context, slot uint64, proposer types.ProcID, recovery bool, blob types.Value) (types.Value, error) {
+	var inst *core.Instance
+	var err error
+	if recovery {
+		inst, err = l.cluster.NewRecoveryInstance(slot, proposer)
+	} else {
+		inst, err = l.cluster.NewInstance(slot)
+	}
 	if err != nil {
-		out.err = fmt.Errorf("smr slot %d: %w", slot, err)
-		return out
+		return nil, fmt.Errorf("smr slot %d: %w", slot, err)
 	}
-	// The attempt runs fenced by its epoch: a takeover cancels it mid-flight
-	// so a deposed holder's proposal cannot decide after its epoch ended —
-	// the recovery path below then re-runs the slot from the new holder,
-	// whose phase-1 permission steal makes the fence durable in the memories.
-	runCtx, stopFence := fenceContext(ctx, epochCtx)
-	decided, err := l.runSlot(runCtx, inst, holder, blob)
-	stopFence()
-	inst.Close()
-	if err == nil {
-		out.decided, out.proposer, out.epoch = decided, holder, epoch
-		return out
+	defer inst.Close()
+	slotCtx, cancel := context.WithTimeout(epochCtx, l.opts.SlotTimeout)
+	defer cancel()
+	res, err := inst.Proposer(proposer).Propose(slotCtx, blob)
+	if err != nil {
+		return nil, fmt.Errorf("smr slot %d: %w", slot, err)
 	}
-	if ctx.Err() != nil {
-		// Cancelled by Close or by another slot's halt — a shutdown, not an
-		// ambiguous outcome; the dispatcher owns the waiters.
-		out.err = err
-		return out
-	}
-	// The slot timed out mid-agreement or was fenced by a takeover, so its
-	// outcome is ambiguous: the batch may already be durable in the slot's
-	// substrate (a phase-2 write can reach a quorum before the timeout or
-	// fence fires), in which case retrying a different value at the same
-	// slot could re-decide the old batch under a new batch's name, and
-	// skipping the slot would commit a gap. Run a recovery round to learn
-	// the slot's true fate instead of halting the group.
-	out.fenced = epochCtx.Err() != nil
-	decided, by, repoch, rerr := l.recoverSlot(ctx, slot, blob, holder)
-	if rerr != nil {
-		out.err = fmt.Errorf("smr slot %d: ambiguous outcome (%v) and recovery failed: %w", slot, err, rerr)
-		return out
-	}
-	out.decided, out.proposer, out.epoch, out.recovered = decided, by, repoch, true
-	return out
+	l.recordReplica(proposer, slot, res.Value)
+	l.awaitLearners(epochCtx, inst, proposer)
+	return res.Value, nil
 }
 
 // recoveryAttempts bounds how many recovery rounds a worker runs for one
@@ -1420,29 +1412,20 @@ const epochRetryBound = 8
 // it, nothing can decide under the old epoch — and adopts the old batch if
 // it had already persisted, so no committed entry is ever lost to a
 // failover. Each attempt re-reads the lease, so a takeover mid-recovery
-// moves the round to the newest holder.
-func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.Value, originalProposer types.ProcID) (types.Value, types.ProcID, uint64, error) {
-	var lastErr error
+// moves the round to the newest holder. If recovery fails, its error also
+// names cause, the original attempt's error.
+func (l *Log) recoverSlot(workers context.Context, slot uint64, originalBlob types.Value, originalProposer types.ProcID, cause error) (types.Value, SlotDecider, error) {
+	var err error
 	epochRetries := 0
 	for attempt := 0; attempt < recoveryAttempts; {
-		if err := ctx.Err(); err != nil {
-			return nil, types.NoProcess, 0, err
-		}
 		holder, epoch, epochCtx := l.leaseView()
 		proposer := l.recoveryProposer(holder, originalProposer)
-		blob, noop := originalBlob, false
-		if proposer != originalProposer {
+		blob, noop := originalBlob, proposer != originalProposer
+		if noop {
 			blob = (wireBatch{}).encode()
-			noop = true
 		}
-		inst, err := l.cluster.NewRecoveryInstance(slot, proposer)
-		if err != nil {
-			return nil, types.NoProcess, 0, err
-		}
-		runCtx, stopFence := fenceContext(ctx, epochCtx)
-		decided, err := l.runSlot(runCtx, inst, proposer, blob)
-		stopFence()
-		inst.Close()
+		var decided types.Value
+		decided, err = l.attempt(epochCtx, slot, proposer, true, blob)
 		if err == nil {
 			refused := l.noteRecovery(decided, noop)
 			l.traceEvent(proposer, trace.KindRecover,
@@ -1451,10 +1434,10 @@ func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.V
 				l.traceEvent(proposer, trace.KindRefusedNoOp,
 					"slot %d refused the recovery no-op: original batch had persisted", slot)
 			}
-			return decided, proposer, epoch, nil
+			return decided, SlotDecider{Proposer: proposer, Epoch: epoch}, nil
 		}
-		if ctx.Err() != nil {
-			return nil, types.NoProcess, 0, err
+		if workers.Err() != nil {
+			break
 		}
 		if epochCtx.Err() != nil && epochRetries < epochRetryBound {
 			// Fenced by yet another takeover, not failed: re-run under the
@@ -1463,9 +1446,8 @@ func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.V
 			continue
 		}
 		attempt++
-		lastErr = err
 	}
-	return nil, types.NoProcess, 0, lastErr
+	return nil, SlotDecider{}, fmt.Errorf("smr slot %d: ambiguous outcome (%v) and recovery failed: %w", slot, cause, err)
 }
 
 // recoveryProposer picks the process that re-runs an ambiguous slot: the
@@ -1516,23 +1498,6 @@ func (l *Log) resolveBarriers(batch []queued) {
 			q.done <- proposeResult{index: readIndex}
 		}
 	}
-}
-
-// runSlot drives one consensus instance over the long-lived cluster: the
-// given process proposes (the cluster leader on the regular path, another
-// replica on the recovery path) and every other process learns. The caller
-// owns the instance's lifecycle.
-func (l *Log) runSlot(ctx context.Context, inst *core.Instance, proposer types.ProcID, blob types.Value) (types.Value, error) {
-	slotCtx, cancel := context.WithTimeout(ctx, l.opts.SlotTimeout)
-	defer cancel()
-
-	res, err := inst.Proposer(proposer).Propose(slotCtx, blob)
-	if err != nil {
-		return nil, fmt.Errorf("smr slot %d: %w", inst.Slot, err)
-	}
-	l.recordReplica(proposer, inst.Slot, res.Value)
-	l.awaitLearners(ctx, inst, proposer)
-	return res.Value, nil
 }
 
 // awaitLearners waits — in parallel, under one shared budget — for the
@@ -1615,11 +1580,11 @@ func (l *Log) recordReplica(p types.ProcID, slot uint64, v types.Value) {
 // barriers in it are skipped here and resolved by the caller). It reports
 // whether the proposed batch won the slot.
 //
-// Called only from the applier goroutine. The decided value is retained
-// as-is — the protocol substrate hands back a private copy — and the log's
-// entries alias subslices of it: decided values are immutable, the slot
-// window retains the backing array, and StateMachine.Apply/OnCommit must
-// treat Entry.Cmd as read-only. Get/Entries still clone outward.
+// Called only from the applier goroutine. The decided value is not copied —
+// the protocol substrate hands back a private copy — and the log's entries
+// alias subslices of it: decided values are immutable, the entries keep the
+// backing array alive, and StateMachine.Apply/OnCommit must treat Entry.Cmd
+// as read-only. Get/Entries still clone outward.
 func (l *Log) recordSlot(slot uint64, decided types.Value, batch []queued, by SlotDecider) (bool, error) {
 	b := borrowBatch()
 	defer releaseBatch(b)
@@ -1628,8 +1593,7 @@ func (l *Log) recordSlot(slot uint64, decided types.Value, batch []queued, by Sl
 	}
 
 	l.mu.Lock()
-	l.slots = append(l.slots, decided)
-	l.deciders[slot] = by
+	l.deciders = append(l.deciders, by)
 	l.sinceSlots++
 	first := len(l.entries)
 	results := make([]proposeResult, 0, len(b.Cmds))
@@ -1728,7 +1692,7 @@ func (l *Log) maybeSnapshot() {
 	// Slots count toward the interval too: a read-heavy group commits no-op
 	// barrier slots that apply nothing, and without this trigger their
 	// regions and recorded values would accumulate forever.
-	due := interval >= 0 && (l.sinceSnap >= interval || l.sinceSlots >= interval) && len(l.slots) > 0
+	due := interval >= 0 && (l.sinceSnap >= interval || l.sinceSlots >= interval) && len(l.deciders) > 0
 	if due && len(l.entries) == 0 {
 		// Every retained slot is a no-op: no state changed, so this is pure
 		// bookkeeping truncation — no snapshot, no restores. Only views
@@ -1806,7 +1770,7 @@ func (l *Log) maybeSnapshot() {
 	}
 }
 
-// truncateLocked drops the retained log prefix — entries, slot values, the
+// truncateLocked drops the retained log prefix — entries, slot deciders, the
 // interval counters and every view's learned values for the dropped slots —
 // and returns the released slot range for the caller to free off-lock via
 // releaseSlots. View progress (nextSlot/nextIndex/machines) is NOT touched:
@@ -1816,18 +1780,13 @@ func (l *Log) maybeSnapshot() {
 //smrlint:holds mu
 func (l *Log) truncateLocked() (releaseFrom, lastSlot uint64) {
 	releaseFrom = l.firstSlot
-	lastSlot = l.firstSlot + uint64(len(l.slots)) - 1
+	lastSlot = l.firstSlot + uint64(len(l.deciders)) - 1
 	l.sinceSnap = 0
 	l.sinceSlots = 0
 	l.firstIndex += uint64(len(l.entries))
 	l.entries = nil
 	l.firstSlot = lastSlot + 1
-	l.slots = nil
-	for slot := range l.deciders {
-		if slot < l.firstSlot {
-			delete(l.deciders, slot)
-		}
-	}
+	l.deciders = nil
 	for _, view := range l.replicas {
 		for slot := range view.learned {
 			if slot < l.firstSlot {

@@ -68,9 +68,10 @@ type Options struct {
 	// Validator is the extra history check; nil accepts any
 	// signature-consistent history.
 	Validator Validator
-	// ReceiveBuffer sizes the channel of accepted messages. Zero means 1024.
-	ReceiveBuffer int
 }
+
+// receiveBuffer sizes the channel of accepted messages.
+const receiveBuffer = 1024
 
 // Endpoint is one process's T-send/T-receive endpoint.
 type Endpoint struct {
@@ -92,15 +93,12 @@ type Endpoint struct {
 // New creates an endpoint for process self over the given non-equivocating
 // broadcaster.
 func New(self types.ProcID, bcast *neb.Broadcaster, signer *sigs.Signer, opts Options) *Endpoint {
-	if opts.ReceiveBuffer <= 0 {
-		opts.ReceiveBuffer = 1024
-	}
 	return &Endpoint{
 		self:     self,
 		bcast:    bcast,
 		signer:   signer,
 		opts:     opts,
-		received: make(chan Received, opts.ReceiveBuffer),
+		received: make(chan Received, receiveBuffer),
 	}
 }
 
