@@ -48,7 +48,7 @@ func run() int {
 	addr := flag.String("addr", ":8080", "TCP address to serve on")
 	advertise := flag.String("advertise", "", "base URL clients should use to reach this server (default: derived from the request's Host header)")
 	shards := flag.Int("shards", 4, "replicated-log groups behind the ring")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
+	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default, at most 4096)")
 	batch := flag.Int("batch", 8, "max commands agreed as one consensus slot")
 	pipeline := flag.Int("pipeline", 0, "slots in flight per group (0 = smr default)")
 	lease := flag.Duration("lease", 250*time.Millisecond, "leader lease duration (0 disables leases; linearizable reads then pay the read-index barrier)")

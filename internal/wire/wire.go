@@ -26,6 +26,7 @@ import (
 	"net/http"
 
 	"rdmaagreement"
+	"rdmaagreement/internal/types"
 )
 
 // Error codes: the closed taxonomy. Codes, not HTTP statuses, are the
@@ -57,10 +58,6 @@ const (
 	// must be retried to completion first.
 	//smrlint:wire store
 	CodeRebalanceInProgress = "rebalance_in_progress"
-	// CodeNoMigrator: the store's state machine cannot rebalance
-	// (ErrNoMigrator). Terminal.
-	//smrlint:wire store
-	CodeNoMigrator = "no_migrator"
 	// CodeClosed: the store is closed (ErrLogClosed). Terminal here.
 	//smrlint:wire store
 	CodeClosed = "closed"
@@ -72,7 +69,8 @@ const (
 	// store (context.DeadlineExceeded / Canceled).
 	//smrlint:wire anonymous
 	CodeDeadline = "deadline"
-	// CodeBadRequest: malformed request (empty key, undecodable body).
+	// CodeBadRequest: malformed request (empty key, undecodable body, an
+	// invalid shard name).
 	//smrlint:wire anonymous
 	CodeBadRequest = "bad_request"
 	// CodeInternal: anything the taxonomy does not name.
@@ -122,8 +120,6 @@ func Sentinel(code string) error {
 		return rdmaagreement.ErrLeaseLost
 	case CodeRebalanceInProgress:
 		return rdmaagreement.ErrRebalanceInProgress
-	case CodeNoMigrator:
-		return rdmaagreement.ErrNoMigrator
 	case CodeClosed:
 		return rdmaagreement.ErrLogClosed
 	case CodeHalted:
@@ -148,8 +144,10 @@ func FromError(err error) (int, *Error) {
 		return http.StatusServiceUnavailable, &Error{Code: CodeLeaseLost, Message: err.Error()}
 	case errors.Is(err, rdmaagreement.ErrRebalanceInProgress):
 		return http.StatusConflict, &Error{Code: CodeRebalanceInProgress, Message: err.Error()}
-	case errors.Is(err, rdmaagreement.ErrNoMigrator):
-		return http.StatusNotImplemented, &Error{Code: CodeNoMigrator, Message: err.Error()}
+	case errors.Is(err, types.ErrInvalidConfig):
+		// The request named something the store refuses outright, such as
+		// a shard name that is not valid UTF-8.
+		return http.StatusBadRequest, &Error{Code: CodeBadRequest, Message: err.Error()}
 	case errors.Is(err, rdmaagreement.ErrLogClosed):
 		return http.StatusServiceUnavailable, &Error{Code: CodeClosed, Message: err.Error()}
 	case errors.Is(err, rdmaagreement.ErrLogHalted):

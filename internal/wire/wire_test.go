@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rdmaagreement"
+	"rdmaagreement/internal/types"
 )
 
 func TestFromErrorTaxonomy(t *testing.T) {
@@ -21,7 +22,7 @@ func TestFromErrorTaxonomy(t *testing.T) {
 		{"key moved wrapped", fmt.Errorf("routing: %w", rdmaagreement.ErrKeyMoved), http.StatusMisdirectedRequest, CodeKeyMoved},
 		{"lease lost", rdmaagreement.ErrLeaseLost, http.StatusServiceUnavailable, CodeLeaseLost},
 		{"rebalance in progress", rdmaagreement.ErrRebalanceInProgress, http.StatusConflict, CodeRebalanceInProgress},
-		{"no migrator", rdmaagreement.ErrNoMigrator, http.StatusNotImplemented, CodeNoMigrator},
+		{"invalid config", fmt.Errorf("shard name: %w", types.ErrInvalidConfig), http.StatusBadRequest, CodeBadRequest},
 		{"closed", rdmaagreement.ErrLogClosed, http.StatusServiceUnavailable, CodeClosed},
 		{"halted", rdmaagreement.ErrLogHalted, http.StatusInternalServerError, CodeHalted},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, CodeDeadline},
@@ -56,7 +57,6 @@ func TestSentinelRoundTrip(t *testing.T) {
 		CodeKeyMoved:            rdmaagreement.ErrKeyMoved,
 		CodeLeaseLost:           rdmaagreement.ErrLeaseLost,
 		CodeRebalanceInProgress: rdmaagreement.ErrRebalanceInProgress,
-		CodeNoMigrator:          rdmaagreement.ErrNoMigrator,
 		CodeClosed:              rdmaagreement.ErrLogClosed,
 		CodeHalted:              rdmaagreement.ErrLogHalted,
 	} {
@@ -77,7 +77,7 @@ func TestRetryable(t *testing.T) {
 			t.Errorf("Retryable(%q) = false, want true", code)
 		}
 	}
-	for _, code := range []string{CodeRebalanceInProgress, CodeNoMigrator, CodeClosed, CodeHalted, CodeDeadline, CodeBadRequest, CodeInternal} {
+	for _, code := range []string{CodeRebalanceInProgress, CodeClosed, CodeHalted, CodeDeadline, CodeBadRequest, CodeInternal} {
 		if Retryable(code) {
 			t.Errorf("Retryable(%q) = true, want false", code)
 		}

@@ -27,7 +27,7 @@ func TestKeyMovedErrorCarriesOwner(t *testing.T) {
 	defer cancel()
 
 	// Find a key the grown ring hands to the new shard.
-	oldRing := kv.s.ringSnapshot().Clone()
+	oldRing := kv.ringSnapshot().Clone()
 	grown := oldRing.Clone()
 	grown.Add("shard-2")
 	var key, oldOwner string
@@ -45,7 +45,7 @@ func TestKeyMovedErrorCarriesOwner(t *testing.T) {
 		t.Fatalf("AddShard: %v", err)
 	}
 
-	env := encodeKeyed(key, encodeKVCommand(key, "stale"))
+	env := routedCommand(key, "stale")
 	_, _, perr := kv.ShardLog(oldOwner).Propose(ctx, env)
 	if perr == nil {
 		t.Fatal("stale-routed propose succeeded, want KeyMovedError")

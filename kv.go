@@ -2,32 +2,38 @@ package rdmaagreement
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"io"
+	"slices"
+
+	"rdmaagreement/internal/shard"
 )
 
-// kvMagic tags every command replicated by ShardedKV: the binary framing
-// magic | keylen uvarint | key | value. Entries appended to a shard's log by
-// other clients (raw Log.Propose) lack the tag and are reported as foreign
-// instead of being guessed at. The trailing byte versions the wire format;
-// it is 2 because version 1, a JSON object, is retired and no longer decodes.
+// kvMagic tags every command and routed query ShardedKV submits to its
+// groups: the binary framing magic | keylen uvarint | key | rest, where rest
+// is a write's value and empty for a query. The routing key rides in the one
+// frame, which is what lets each group's ownership gate check — at APPLY
+// time, in log order — that the group still owns the key: the only point
+// where the route-then-commit race of a live rebalance can be closed.
+// Entries appended to a shard's log by other clients (raw Log.Propose) lack
+// the tag and are reported as foreign instead of being guessed at; a raw
+// query lacking it is a bare key, served past the gate. The trailing byte
+// versions the wire format; it is 2 because version 1, a JSON object, is
+// retired and no longer decodes.
 var kvMagic = []byte("rkv\x00\x02")
+
+// migrateMagic tags a migration command, a bare JSON migrateCmd: rare and
+// structured, it is the only JSON form on the command path.
+var migrateMagic = []byte("rshd\x00\x01")
 
 // ErrForeignCommand is the response of the KV state machine to a committed
 // entry that does not carry the KV wire tag. The entry stays in the log
 // (commitment is the log's business), but it does not touch the store and its
 // proposer is told explicitly.
 var ErrForeignCommand = errors.New("kv: committed entry is not a tagged KV command")
-
-// kvCommand is the state-machine operation replicated by ShardedKV.
-type kvCommand struct {
-	Key   string
-	Value string
-}
 
 //smrlint:noalloc
 func encodeKVCommand(key, value string) []byte {
@@ -39,21 +45,35 @@ func encodeKVCommand(key, value string) []byte {
 	return out
 }
 
-// decodeKVCommand rejects untagged blobs and decodes tagged ones.
-func decodeKVCommand(raw []byte) (kvCommand, error) {
-	if !bytes.HasPrefix(raw, kvMagic) {
-		return kvCommand{}, fmt.Errorf("missing KV wire tag")
+// decodeKVCommand splits a committed entry or a routed query into its key
+// and rest (the KV framing) or a migration command (JSON). The returned key
+// and rest alias raw — the apply path converts them to strings only where it
+// stores them. ok=false means raw carries neither well-formed tag.
+func decodeKVCommand(raw []byte) (key, rest []byte, mig *migrateCmd, ok bool) {
+	if bytes.HasPrefix(raw, kvMagic) {
+		rest := raw[len(kvMagic):]
+		klen, n := binary.Uvarint(rest)
+		if n <= 0 || klen > uint64(len(rest)-n) {
+			return nil, nil, nil, false
+		}
+		rest = rest[n:]
+		return rest[:klen:klen], rest[klen:], nil, true
 	}
-	rest := raw[len(kvMagic):]
-	klen, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return kvCommand{}, fmt.Errorf("truncated KV key length")
+	if bytes.HasPrefix(raw, migrateMagic) {
+		// Strict: unknown fields (such as the retired keyed JSON envelope's
+		// "key"/"cmd") and trailing bytes are rejected, not ignored.
+		var m migrateCmd
+		dec := json.NewDecoder(bytes.NewReader(raw[len(migrateMagic):]))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&m); err != nil {
+			return nil, nil, nil, false
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, nil, nil, false
+		}
+		return nil, nil, &m, true
 	}
-	rest = rest[n:]
-	if klen > uint64(len(rest)) {
-		return kvCommand{}, fmt.Errorf("KV key overruns payload")
-	}
-	return kvCommand{Key: string(rest[:klen]), Value: string(rest[klen:])}, nil
+	return nil, nil, nil, false
 }
 
 // encodeKVResult is the machine's response to writes (the key's previous
@@ -81,238 +101,352 @@ func decodeKVResult(resp []byte) (string, bool, error) {
 // tooling uses to probe individual replicas — into (value, found).
 func DecodeKVResult(resp []byte) (string, bool, error) { return decodeKVResult(resp) }
 
-// kvMachine is the string-map StateMachine behind ShardedKV. The owning Log
-// serializes all calls, so no internal locking is needed. Foreign entries are
-// counted by the ShardedKV's OnCommit hook — exactly once per committed entry
-// — not here: one entry is applied by the authoritative machine and every
-// replica view, and counting in Apply would multiply it by the replica count.
-type kvMachine struct {
-	state map[string]string
+// migrateCmd is a rebalance step committed through a group's own log —
+// membership changes ride the logs they affect, the Chubby/ZooKeeper
+// reconfiguration-via-log pattern. The ring after the change travels as
+// (Shards, VNodes): every machine rebuilds it deterministically, so the
+// ownership predicate needs no out-of-band state.
+type migrateCmd struct {
+	// Out marks the export half (committed in the ceding group); Ack marks
+	// the post-import acknowledgement that lets the ceding group drop its
+	// export outbox; otherwise this is an import (committed in a receiving
+	// group).
+	Out bool `json:"out,omitempty"`
+	Ack bool `json:"ack,omitempty"`
+	// Epoch is the migration epoch: one per rebalance operation, strictly
+	// increasing. It makes re-proposed migration commands idempotent — a
+	// duplicate export replays its stored result, a duplicate import is a
+	// no-op — which is what lets an interrupted rebalance be retried safely.
+	Epoch uint64 `json:"epoch"`
+	// Shards and VNodes describe the ring after the rebalance.
+	Shards []string `json:"shards"`
+	VNodes int      `json:"vnodes"`
+	// Group is the group this command is committed in.
+	Group string `json:"group"`
+	// Source is the ceding group (imports only).
+	Source string `json:"source,omitempty"`
+	// Data is the ceded sub-state (imports only).
+	Data []byte `json:"data,omitempty"`
 }
 
-func newKVMachine() StateMachine {
-	return &kvMachine{state: make(map[string]string)}
+// migrateResult is the Apply response of a migration command: the export's
+// bytes (out) and the number of keys exported or merged.
+type migrateResult struct {
+	Data []byte `json:"data,omitempty"`
+	Keys int    `json:"keys"`
+}
+
+// encodeMigrate frames a migration command for its group's log. Marshal
+// cannot fail on a struct of strings, numbers and bytes.
+func encodeMigrate(m migrateCmd) []byte {
+	blob, _ := json.Marshal(m)
+	return append(append([]byte(nil), migrateMagic...), blob...)
+}
+
+// kvMachine is the string-map StateMachine behind ShardedKV, inside one
+// shard group's ownership gate: it refuses writes and queries for keys the
+// group's latest committed ring config routes elsewhere — the refusal is
+// itself a committed, deterministic log event, so a write that raced a
+// handoff provably did not mutate the ceded range and can be retried at the
+// new owner — and it applies the migration commands that carve a moved
+// range out of one group and merge it into another.
+//
+// All gate state (the committed ring config, the import dedupe epochs, the
+// export outbox) is part of the machine state proper: every replica view
+// derives the identical gate from the identical log, and snapshots carry it.
+// The owning Log serializes all calls, so no internal locking is needed.
+// Foreign entries are counted by the ShardedKV's OnCommit hook — exactly once
+// per committed entry — not here: one entry is applied by the authoritative
+// machine and every replica view, and counting in Apply would multiply it by
+// the replica count.
+type kvMachine struct {
+	self  string
+	state map[string]string
+
+	ring     *shard.Ring       // latest committed ownership config; nil = every routed key is ours
+	inEpochs map[string]uint64 // per ceding source: epoch of the last applied import
+	// Export outbox: the latest migrate-out's result, keyed by its epoch. A
+	// re-proposed export (the rebalancer retried after losing the first
+	// response) replays the stored result instead of exporting the — by then
+	// empty — range again, which would silently drop the ceded state.
+	outEpoch uint64
+	outData  []byte
+	outKeys  int
+}
+
+func newKVMachine(self string) *kvMachine {
+	return &kvMachine{self: self, state: make(map[string]string), inEpochs: make(map[string]uint64)}
 }
 
 // Apply executes one committed write and responds with the key's previous
-// value. Untagged entries are skipped and reported via ErrForeignCommand.
+// value, or one migration step. Untagged entries are skipped and reported
+// via ErrForeignCommand.
 func (m *kvMachine) Apply(e LogEntry) ([]byte, error) {
-	cmd, err := decodeKVCommand(e.Cmd)
-	if err != nil {
+	key, value, mig, ok := decodeKVCommand(e.Cmd)
+	if !ok {
 		return nil, fmt.Errorf("%w (index %d)", ErrForeignCommand, e.Index)
 	}
-	prev, found := m.state[cmd.Key]
-	m.state[cmd.Key] = cmd.Value
+	if mig != nil {
+		return m.applyMigrate(mig)
+	}
+	if err := m.gate(key, e.Index); err != nil {
+		return nil, err
+	}
+	k := string(key)
+	prev, found := m.state[k]
+	m.state[k] = string(value)
 	return encodeKVResult(found, prev), nil
 }
 
-// Query answers a key lookup; the query payload is the raw key.
-func (m *kvMachine) Query(query []byte) ([]byte, error) {
-	v, found := m.state[string(query)]
-	return encodeKVResult(found, v), nil
-}
-
-// Snapshot serializes the full store.
-func (m *kvMachine) Snapshot() ([]byte, error) { return json.Marshal(m.state) }
-
-// MigrateOut removes and serializes the keys a rebalance routes elsewhere.
-// Deterministic as the Migrator contract requires: the removal is a pure set
-// operation and json.Marshal emits map keys sorted.
-func (m *kvMachine) MigrateOut(moved func(key string) bool) ([]byte, int, error) {
-	out := make(map[string]string)
-	for k, v := range m.state {
-		if moved(k) {
-			out[k] = v
-			delete(m.state, k)
-		}
+// gate refuses key if the group's committed ring routes it elsewhere; index
+// is the refused entry's, 0 for a query. It materializes the key string only
+// when a ring is committed: until the first rebalance (the common case on the
+// hot path) every routed key is ours.
+func (m *kvMachine) gate(key []byte, index uint64) error {
+	if m.ring == nil {
+		return nil
 	}
-	if len(out) == 0 {
-		return nil, 0, nil
+	if k := string(key); m.ring.Shard(k) != m.self {
+		return &KeyMovedError{Key: k, From: m.self, Owner: m.ring.Shard(k), Index: index}
 	}
-	blob, err := json.Marshal(out)
-	if err != nil {
-		return nil, 0, fmt.Errorf("kv: migrate out: %w", err)
-	}
-	return blob, len(out), nil
-}
-
-// MigrateIn merges a MigrateOut export, keeping only the keys this group owns
-// under the new ring (a removed shard's export fans out to every survivor).
-func (m *kvMachine) MigrateIn(data []byte, owned func(key string) bool) (int, error) {
-	if len(data) == 0 {
-		return 0, nil
-	}
-	in := make(map[string]string)
-	if err := json.Unmarshal(data, &in); err != nil {
-		return 0, fmt.Errorf("kv: migrate in: %w", err)
-	}
-	n := 0
-	for k, v := range in {
-		if owned(k) {
-			m.state[k] = v
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Restore replaces the store with a snapshot.
-func (m *kvMachine) Restore(snapshot []byte, _ uint64) error {
-	state := make(map[string]string)
-	if len(snapshot) > 0 {
-		if err := json.Unmarshal(snapshot, &state); err != nil {
-			return fmt.Errorf("kv: restore: %w", err)
-		}
-	}
-	m.state = state
 	return nil
 }
 
-// ShardedKVOptions configure a ShardedKV.
-type ShardedKVOptions = ShardedOptions
-
-// ShardedKV is a crash-tolerant key-value store sharded over independent
-// replicated-log groups: a thin client of the generic Sharded layer with
-// kvMachine plugged in as the StateMachine. Everything consensus-shaped —
-// batching, read indexes, snapshots, slot GC — lives below; this type only
-// encodes commands and decodes responses, which is the template for any new
-// workload (a counter, a queue, a lock service).
-type ShardedKV struct {
-	s       *Sharded
-	foreign atomic.Int64
-}
-
-// NewShardedKV builds the ring and one replicated-log group per shard, each
-// applying its own kvMachine replicas. Foreign (untagged) committed entries
-// are tallied through the commit hook — once per entry, regardless of how
-// many machine instances apply it — chaining any caller-supplied OnCommit.
-func NewShardedKV(opts ShardedKVOptions) (*ShardedKV, error) {
-	kv := &ShardedKV{}
-	userHook := opts.Log.OnCommit
-	opts.Log.OnCommit = func(e LogEntry) {
-		// Just the cheap tag check on the hot commit path (the hook runs on
-		// the committer): a tagged-but-malformed command is the proposer's
-		// bug, reported to them through Apply's ErrForeignCommand response.
-		if !bytes.HasPrefix(e.Cmd, kvMagic) {
-			kv.foreign.Add(1)
+func (m *kvMachine) applyMigrate(c *migrateCmd) ([]byte, error) {
+	if c.Group != m.self {
+		// A migrate command built for another group (a replayed command, a
+		// misdirected raw propose) must not carve up THIS group's state.
+		return nil, fmt.Errorf("sharded kv: migrate command for %s committed in %s", c.Group, m.self)
+	}
+	if c.Ack {
+		// The exported range has been imported everywhere: drop the outbox
+		// copy so the ceded bytes stop living in this machine's state (and
+		// its snapshots) forever. Replaying a stale ack is harmless.
+		if c.Epoch == m.outEpoch {
+			m.outData = nil
 		}
-		if userHook != nil {
-			userHook(e)
+		return json.Marshal(migrateResult{})
+	}
+	next := shard.New(c.Shards, c.VNodes)
+	if c.Out {
+		if c.Epoch <= m.outEpoch {
+			if c.Epoch == m.outEpoch {
+				// Duplicate export (a lost-response retry): replay the result.
+				return json.Marshal(migrateResult{Data: m.outData, Keys: m.outKeys})
+			}
+			return json.Marshal(migrateResult{}) // stale epoch: nothing left to say
+		}
+		// Gate and carve-out commit together, inside this one apply, so no
+		// command can slip between the cede and the export. Deterministic:
+		// every replica runs the identical branch on the identical state, and
+		// the export encodes its keys sorted.
+		moved := newKVMachine(m.self)
+		for k, v := range m.state {
+			if next.Shard(k) != m.self {
+				moved.state[k] = v
+				delete(m.state, k)
+			}
+		}
+		m.ring = next
+		m.outEpoch, m.outData, m.outKeys = c.Epoch, moved.encode(), len(moved.state)
+		return json.Marshal(migrateResult{Data: m.outData, Keys: m.outKeys})
+	}
+	if last, dup := m.inEpochs[c.Source]; dup && c.Epoch <= last {
+		// Duplicate import (same handoff re-proposed): merging again could
+		// overwrite writes accepted since the first merge.
+		return json.Marshal(migrateResult{})
+	}
+	in, err := decodeKVState(m.self, c.Data)
+	if err != nil {
+		// Record nothing on failure: a retried handoff must re-propose this
+		// import and have it actually merge, not hit the dedupe branch and
+		// silently drop the exported range.
+		return nil, fmt.Errorf("sharded kv: migrate into %s: %w", m.self, err)
+	}
+	// A removed shard's export fans out to every survivor: keep only the
+	// keys this group owns under the new ring.
+	keys := 0
+	for k, v := range in.state {
+		if next.Shard(k) == m.self {
+			m.state[k] = v
+			keys++
 		}
 	}
-	s, err := NewSharded(func() StateMachine { return newKVMachine() }, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sharded kv: %w", err)
+	m.inEpochs[c.Source] = c.Epoch
+	m.ring = next
+	return json.Marshal(migrateResult{Keys: keys})
+}
+
+// Query answers a key lookup. A framed query passes the gate first; an
+// untagged one is the bare key, answered past the gate — the raw log-level
+// read audit tooling uses to see what a machine holds, ceded state included.
+func (m *kvMachine) Query(query []byte) ([]byte, error) {
+	key, _, mig, ok := decodeKVCommand(query)
+	if !ok || mig != nil {
+		key = query
+	} else if err := m.gate(key, 0); err != nil {
+		return nil, err
 	}
-	kv.s = s
-	return kv, nil
+	v, found := m.state[string(key)]
+	return encodeKVResult(found, v), nil
 }
 
-// Put replicates key=value through the owning shard's log and returns the
-// shard's name and the command's index in that shard's log. When Put returns,
-// the write is committed and applied on every live replica.
-func (kv *ShardedKV) Put(ctx context.Context, key, value string) (string, uint64, error) {
-	name, index, _, err := kv.s.Propose(ctx, key, encodeKVCommand(key, value))
+// Snapshot serializes the full machine state: the store and its gate.
+func (m *kvMachine) Snapshot() ([]byte, error) { return m.encode(), nil }
+
+// Restore replaces the machine state with a snapshot's, or fails and leaves
+// it untouched.
+func (m *kvMachine) Restore(snapshot []byte, _ uint64) error {
+	r, err := decodeKVState(m.self, snapshot)
 	if err != nil {
-		return name, index, fmt.Errorf("sharded kv: put %q: %w", key, err)
+		return fmt.Errorf("kv: restore: %w", err)
 	}
-	return name, index, nil
+	*m = *r
+	return nil
 }
 
-// Get returns the last committed value of key from the owning shard's
-// freshest local replica view — the lease holder's while its lease is in
-// force, otherwise the most-applied view, so a stalled or deposed leader's
-// frozen view never serves it. Local and immediate, but formally a stale
-// read (use GetLinearizable for a full linearizability guarantee).
-func (kv *ShardedKV) Get(key string) (string, bool) {
-	resp, err := kv.s.StaleRead(key, []byte(key))
-	if err != nil {
-		return "", false
+// kvStateMagic opens the one encoding of a kvMachine's state, shared by its
+// snapshots and its migrate exports (an export is the state of a machine
+// that holds only the ceded keys):
+//
+//	magic | vnodes | shards | in-epochs | out epoch | out data | out keys | pairs
+//
+// Numbers are uvarints; strings and blobs are uvarint-length-prefixed, so
+// every key and value survives byte for byte; each list is a uvarint count
+// followed by its items, an in-epoch being (source, epoch) and a pair (key,
+// value). The ring is absent (no shards) until the group's first rebalance.
+// Shards, sources and keys are sorted, so replicas in equal states encode
+// equal bytes.
+var kvStateMagic = []byte("rkvs\x00\x01")
+
+// maxVirtualNodes bounds a ring's virtual nodes per shard, so that a corrupt
+// state cannot make the decoder build an arbitrarily large ring.
+const maxVirtualNodes = 1 << 12
+
+func (m *kvMachine) encode() []byte {
+	var shards []string
+	vnodes := 0
+	if m.ring != nil {
+		shards, vnodes = m.ring.Shards(), m.ring.VirtualNodes()
 	}
-	v, found, err := decodeKVResult(resp)
-	if err != nil {
-		return "", false
+	sources, keys := sortedKeys(m.inEpochs), sortedKeys(m.state)
+	size := len(kvStateMagic) + len(m.outData) + 8*binary.MaxVarintLen64
+	for _, k := range keys {
+		size += len(k) + len(m.state[k]) + 4
 	}
-	return v, found
-}
-
-// GetWithContext is Get bounded by ctx, with the error surfaced instead of
-// folded into "not found": the read itself is local and immediate, but a key
-// whose range is mid-handoff waits for the handoff to commit, and that wait
-// honors ctx — so a network front-end can enforce its request deadline on
-// the stale-read path. Same consistency contract as Get: local, formally
-// stale, served from the owning shard's freshest available replica view.
-func (kv *ShardedKV) GetWithContext(ctx context.Context, key string) (string, bool, error) {
-	resp, err := kv.s.StaleReadContext(ctx, key, []byte(key))
-	if err != nil {
-		return "", false, fmt.Errorf("sharded kv: get %q: %w", key, err)
+	out := append(make([]byte, 0, size), kvStateMagic...)
+	out = binary.AppendUvarint(out, uint64(vnodes))
+	out = binary.AppendUvarint(out, uint64(len(shards)))
+	for _, s := range shards {
+		out = appendField(out, s)
 	}
-	return decodeKVResult(resp)
-}
-
-// GetLinearizable returns the value of key with a full linearizability
-// guarantee: it observes every Put that returned before the call started,
-// wherever it was issued. While the owning shard's leader holds an unexpired
-// lease (Options.LeaseDuration > 0) the read is served locally with ZERO
-// consensus slots — the lease fast path — and only falls back to the
-// read-index barrier (one no-op slot commit, or a ride on a concurrent
-// batch) when the lease is absent, expired or in doubt. LogStats splits the
-// two paths into LeaseReads and BarrierReads.
-func (kv *ShardedKV) GetLinearizable(ctx context.Context, key string) (string, bool, error) {
-	resp, err := kv.s.Read(ctx, key, []byte(key))
-	if err != nil {
-		return "", false, fmt.Errorf("sharded kv: get %q: %w", key, err)
+	out = binary.AppendUvarint(out, uint64(len(sources)))
+	for _, s := range sources {
+		out = binary.AppendUvarint(appendField(out, s), m.inEpochs[s])
 	}
-	return decodeKVResult(resp)
+	out = binary.AppendUvarint(out, m.outEpoch)
+	out = appendField(out, m.outData)
+	out = binary.AppendUvarint(out, uint64(m.outKeys))
+	out = binary.AppendUvarint(out, uint64(len(keys)))
+	for _, k := range keys {
+		out = appendField(appendField(out, k), m.state[k])
+	}
+	return out
 }
 
-// AddShard grows the store by one shard group under live traffic: the moved
-// key ranges (an expected 1/(S+1) fraction) are drained into the new group
-// with no downtime and no lost or forked keys. See Sharded.AddShard for the
-// handoff, forwarding and failure semantics.
-func (kv *ShardedKV) AddShard(ctx context.Context, name string) error {
-	return kv.s.AddShard(ctx, name)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
-// RemoveShard drains the named shard's whole key space into the surviving
-// groups and retires its log. See Sharded.RemoveShard.
-func (kv *ShardedKV) RemoveShard(ctx context.Context, name string) error {
-	return kv.s.RemoveShard(ctx, name)
+func appendField[T string | []byte](out []byte, b T) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(b))), b...)
 }
 
-// ForeignEntries reports how many committed entries across all shards were
-// skipped because they did not carry the KV wire tag.
-func (kv *ShardedKV) ForeignEntries() int64 { return kv.foreign.Load() }
+// decodeKVState rebuilds the machine named self from its encoded state. It
+// rejects a missing tag, truncation, a length or count that overruns the
+// input, an oversized ring and trailing bytes.
+func decodeKVState(self string, raw []byte) (*kvMachine, error) {
+	if !bytes.HasPrefix(raw, kvStateMagic) {
+		return nil, errors.New("kv state: missing tag")
+	}
+	r := stateReader{buf: raw[len(kvStateMagic):]}
+	m := newKVMachine(self)
+	vnodes := r.uvarint()
+	shards := make([]string, r.count(1))
+	for i := range shards {
+		shards[i] = string(r.field())
+	}
+	for n := r.count(2); n > 0; n-- {
+		source := string(r.field())
+		m.inEpochs[source] = r.uvarint()
+	}
+	m.outEpoch = r.uvarint()
+	m.outData = bytes.Clone(r.field())
+	m.outKeys = int(r.uvarint())
+	for n := r.count(2); n > 0; n-- {
+		k := string(r.field())
+		m.state[k] = string(r.field())
+	}
+	switch {
+	case r.err != nil:
+		return nil, fmt.Errorf("kv state: %w", r.err)
+	case len(r.buf) > 0:
+		return nil, fmt.Errorf("kv state: %d trailing bytes", len(r.buf))
+	case vnodes > maxVirtualNodes:
+		return nil, fmt.Errorf("kv state: %d virtual nodes per shard, at most %d", vnodes, maxVirtualNodes)
+	case len(shards) > 0:
+		m.ring = shard.New(shards, int(vnodes))
+	}
+	return m, nil
+}
 
-// Shard returns the name of the shard that owns key.
-func (kv *ShardedKV) Shard(key string) string { return kv.s.Shard(key) }
+// stateReader walks an encoded state. The first malformed field sticks in
+// err, and every later read returns a zero value.
+type stateReader struct {
+	buf []byte
+	err error
+}
 
-// ShardLog returns the replicated log behind the named shard (for fault
-// injection and inspection).
-func (kv *ShardedKV) ShardLog(name string) *Log { return kv.s.ShardLog(name) }
+func (r *stateReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.err = errors.New("truncated number")
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
 
-// Shards returns the shard names in stable order.
-func (kv *ShardedKV) Shards() []string { return kv.s.Shards() }
+func (r *stateReader) field() []byte {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)) {
+		r.err = errors.New("field overruns the state")
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
 
-// RingConfig returns the authoritative ring's geometry (shard names plus
-// virtual-node count), from which a remote client rebuilds an identically
-// routing ring. See Sharded.RingConfig.
-func (kv *ShardedKV) RingConfig() ([]string, int) { return kv.s.RingConfig() }
-
-// Len returns the total number of committed commands across all shards.
-func (kv *ShardedKV) Len() uint64 { return kv.s.Len() }
-
-// Stats aggregates the per-shard log counters plus the rebalancing view
-// (shards, completed rebalances, migrated keys, forwarded operations).
-func (kv *ShardedKV) Stats() ShardedStats { return kv.s.Stats() }
-
-// Metrics snapshots the store-wide slot-lifecycle instrumentation (all
-// shards aggregate into one registry; see Sharded.Metrics and LogMetrics).
-func (kv *ShardedKV) Metrics() LogMetrics { return kv.s.Metrics() }
-
-// Registry returns the store's shared metrics registry, for text exposition
-// and expvar publication.
-func (kv *ShardedKV) Registry() *MetricsRegistry { return kv.s.Registry() }
-
-// Close shuts every shard's log down. Idempotent.
-func (kv *ShardedKV) Close() { kv.s.Close() }
+// count reads a list length whose items take at least min bytes each, so a
+// corrupt count cannot make the decoder allocate beyond its input.
+func (r *stateReader) count(min int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)/min) {
+		r.err = errors.New("count overruns the state")
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}

@@ -142,6 +142,32 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdminAddShardRefusesInvalidUTF8Name checks that the admin endpoint
+// answers a shard name that is not valid UTF-8 with bad_request, before the
+// store commits anything, and that the ring still grows afterwards.
+func TestAdminAddShardRefusesInvalidUTF8Name(t *testing.T) {
+	kv := newTestKV(t)
+	_, base := startServer(t, Options{Store: kv})
+
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		resp, blob := doJSON(t, method, base+"/v1/admin/shards/s%FF", nil, nil)
+		var werr wire.Error
+		if err := json.Unmarshal(blob, &werr); err != nil || resp.StatusCode != http.StatusBadRequest || werr.Code != wire.CodeBadRequest {
+			t.Fatalf("%s s%%FF = %d %s (err %v), want 400 %s", method, resp.StatusCode, blob, err, wire.CodeBadRequest)
+		}
+		if !strings.Contains(werr.Message, "UTF-8") {
+			t.Fatalf("%s s%%FF refused with %q, want the store's UTF-8 refusal", method, werr.Message)
+		}
+	}
+	if stats := kv.Stats(); stats.Shards != 2 || stats.Rebalances != 0 || kv.Len() != 0 {
+		t.Fatalf("store after refused admin calls: %+v, %d entries", stats, kv.Len())
+	}
+	resp, blob := doJSON(t, http.MethodPost, base+"/v1/admin/shards/shard-2", nil, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("add shard-2 after the refusals = %d %s", resp.StatusCode, blob)
+	}
+}
+
 // TestAdminRebalanceUnderServedTraffic grows the ring through the admin
 // endpoint while closed-loop writers put through the ring-aware client: no
 // put may fail, the handoff must move keys, and afterwards every acknowledged

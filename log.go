@@ -24,7 +24,7 @@ type LogOptions = smr.Options
 type LogEntry = smr.Entry
 
 // LogStats are a group's recovery, lease and pipeline counters (Log.Stats,
-// Sharded.Stats): Recovered counts slots whose timed-out agreement was
+// ShardedKV.Stats): Recovered counts slots whose timed-out agreement was
 // resolved by a no-op recovery round instead of halting the group, Refused
 // the subset where the no-op lost because the original batch had persisted
 // and was re-decided; Epoch/Takeovers report the lease view (current epoch,
@@ -34,7 +34,7 @@ type LogEntry = smr.Entry
 type LogStats = smr.Stats
 
 // LogMetrics is a point-in-time snapshot of a group's — or, via
-// Sharded.Metrics, a whole deployment's — slot-lifecycle instrumentation:
+// ShardedKV.Metrics, a whole store's — slot-lifecycle instrumentation:
 // monotone commit counters, per-stage latency histograms decomposing a
 // command's end-to-end latency (batch wait → agreement → commit wait →
 // apply), and queue-depth gauges with high-water marks. Safe to snapshot
@@ -43,7 +43,7 @@ type LogStats = smr.Stats
 type LogMetrics = smr.Metrics
 
 // MetricsRegistry is the named-instrument registry behind LogMetrics
-// (LogOptions.Metrics, Log.Registry, Sharded.Registry): counters, gauges and
+// (LogOptions.Metrics, Log.Registry, ShardedKV.Registry): counters, gauges and
 // fixed-bucket latency histograms, snapshot-able as typed values
 // (LogMetrics), as an expvar-friendly map (Snapshot), or as
 // Prometheus-style text (WriteText). Groups sharing one registry aggregate.

@@ -12,7 +12,7 @@
 //     network.
 //   - Proposals (Cluster.Proposer(p).Propose): drive consensus instances and
 //     observe decisions, causal delay counts and fast-path usage.
-//   - Replication (NewLog, NewSharded, NewShardedKV): turn the single-shot
+//   - Replication (NewLog, NewShardedKV): turn the single-shot
 //     protocols into a replicated state machine — one long-lived cluster
 //     multiplexing an unbounded sequence of slots, with command batching, a
 //     pluggable StateMachine (Propose returns the machine's response),
@@ -21,7 +21,8 @@
 //     independent groups on a consistent-hash ring for horizontal throughput,
 //     with live rebalancing (AddShard/RemoveShard drain moved key ranges
 //     through the logs they leave and enter, no downtime, no lost or forked
-//     keys). ShardedKV is the reference StateMachine client.
+//     keys). A workload other than the key-value store plugs its
+//     StateMachine in at NewLog.
 //   - Experiments (Experiments, ExperimentIDs): regenerate the tables in
 //     EXPERIMENTS.md that reproduce the paper's quantitative claims.
 //

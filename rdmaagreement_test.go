@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"rdmaagreement/internal/types"
 )
 
 func TestPublicAPIExperimentRegistry(t *testing.T) {
@@ -80,12 +78,17 @@ func TestPublicAPIShardedKV(t *testing.T) {
 
 	keys := []string{"alpha", "beta", "gamma", "delta"}
 	for i, k := range keys {
-		shardName, _, err := kv.Put(ctx, k, k+"-value")
+		shardName, index, err := kv.Put(ctx, k, k+"-value")
 		if err != nil {
 			t.Fatalf("Put(%s): %v", k, err)
 		}
 		if shardName != kv.Shard(k) {
 			t.Fatalf("Put(%s) committed on %s, ring routes to %s", k, shardName, kv.Shard(k))
+		}
+		// One frame per op: the log holds exactly the KV command, the key
+		// framed once.
+		if e, ok := kv.ShardLog(shardName).Get(index); !ok || !bytes.Equal(e.Cmd, encodeKVCommand(k, k+"-value")) {
+			t.Fatalf("Put(%s) committed %q (found %v), want exactly its KV command", k, e.Cmd, ok)
 		}
 		if got := kv.Len(); got != uint64(i+1) {
 			t.Fatalf("Len() = %d after %d puts", got, i+1)
@@ -102,9 +105,9 @@ func TestPublicAPIShardedKV(t *testing.T) {
 	}
 }
 
-// counterMachine is a minimal non-KV workload for the generic Sharded layer:
-// any command increments, queries answer the count. It demonstrates that a
-// new workload is a StateMachine plugin, not a fork of ShardedKV.
+// counterMachine is a minimal non-KV workload: any command increments,
+// queries answer the count. It demonstrates that a new workload plugs in at
+// NewLog (LogOptions.NewSM) and needs no fork of the KV store.
 type counterMachine struct{ n int }
 
 func (m *counterMachine) Apply(LogEntry) ([]byte, error) {
@@ -118,21 +121,20 @@ func (m *counterMachine) Restore(snapshot []byte, _ uint64) error {
 	return err
 }
 
-func TestPublicAPISharded(t *testing.T) {
-	s, err := NewSharded(func() StateMachine { return &counterMachine{} }, ShardedOptions{
-		Shards: 2,
-		Log:    LogOptions{Cluster: Options{Processes: 3, Memories: 3}},
+func TestPublicAPILogStateMachineRead(t *testing.T) {
+	l, err := NewLog(LogOptions{
+		Cluster: Options{Processes: 3, Memories: 3},
+		NewSM:   func() StateMachine { return &counterMachine{} },
 	})
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("NewLog: %v", err)
 	}
-	defer s.Close()
+	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	key := "bumps"
 	for i := 1; i <= 3; i++ {
-		_, _, resp, err := s.Propose(ctx, key, []byte("bump"))
+		_, resp, err := l.Propose(ctx, []byte("bump"))
 		if err != nil {
 			t.Fatalf("Propose(%d): %v", i, err)
 		}
@@ -140,21 +142,11 @@ func TestPublicAPISharded(t *testing.T) {
 			t.Fatalf("Propose(%d) response = %q, want %d", i, resp, i)
 		}
 	}
-	got, err := s.Read(ctx, key, nil)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
+	if got, err := l.Read(ctx, nil); err != nil || string(got) != "3" {
+		t.Fatalf("Read = %q, %v; want 3", got, err)
 	}
-	if string(got) != "3" {
-		t.Fatalf("Read = %q, want 3", got)
-	}
-	if stale, err := s.StaleRead(key, nil); err != nil || string(stale) != "3" {
-		t.Fatalf("StaleRead = %q, %v; want 3", stale, err)
-	}
-}
-
-func TestNewShardedNeedsStateMachine(t *testing.T) {
-	if _, err := NewSharded(nil, ShardedOptions{}); !errors.Is(err, types.ErrInvalidConfig) {
-		t.Fatalf("NewSharded(nil) = %v, want ErrInvalidConfig", err)
+	if stale, err := l.LocalRead(nil); err != nil || string(stale) != "3" {
+		t.Fatalf("LocalRead = %q, %v; want 3", stale, err)
 	}
 }
 
@@ -197,36 +189,79 @@ func TestPublicAPIShardedKVLinearizableAndForeign(t *testing.T) {
 	}
 }
 
-// FuzzDecodeKVCommand holds the KV command decoder to reject-or-round-trip
-// on arbitrary bytes: it must never panic, and a command it accepts must
-// re-encode to a value that decodes to the same command.
+// FuzzDecodeKVCommand holds the one command decoder — behind Apply, Query,
+// the ownership gate and the commit hook — to reject-or-round-trip on
+// arbitrary bytes: it must never panic, and a frame it accepts must re-encode
+// to a value that decodes to the same key and rest. Migration commands are
+// JSON, so their check is that re-encoding is stable:
+// encode(decode(encode(m))) == encode(m).
 func FuzzDecodeKVCommand(f *testing.F) {
 	f.Add(encodeKVCommand("k/1", "v"))
 	f.Add(encodeKVCommand("", ""))
 	f.Add(encodeKVCommand("key", string(bytes.Repeat([]byte{0xff}, 300))))
-	// Seeds that must be rejected.
-	rejected := [][]byte{
+	mustReject := func(raw []byte) {
+		if key, rest, mig, ok := decodeKVCommand(raw); ok {
+			f.Fatalf("decodeKVCommand(%q) = (%q, %q, %+v), want rejection", raw, key, rest, mig)
+		}
+		f.Add(raw)
+	}
+	for _, raw := range [][]byte{
 		[]byte(`rkv` + "\x00\x01" + `{"key":"k","value":"v"}`), // retired JSON command
 		[]byte("rkv\x00\x02"),      // tag, no key length
 		[]byte("rkv\x00\x02\x05k"), // key overruns payload
 		[]byte(`{"key":"k","value":"v"}`),
 		{},
+	} {
+		mustReject(raw)
 	}
-	for _, raw := range rejected {
-		if cmd, err := decodeKVCommand(raw); err == nil {
-			f.Fatalf("decodeKVCommand(%q) = %+v, want an error", raw, cmd)
-		}
-		f.Add(raw)
+	// The retired keyed envelope that once wrapped every routed command is
+	// untagged bytes now.
+	mustReject(append([]byte("rshb\x00\x01\x03k/1"), encodeKVCommand("k/1", "v")...))
+	mustReject([]byte("rshb\x00\x01\x00"))
+	export := newKVMachine("shard-1")
+	export.state["k"] = "v"
+	for _, m := range []migrateCmd{
+		{Out: true, Epoch: 1, Shards: []string{"shard-0", "shard-1"}, VNodes: 64, Group: "shard-0"},
+		{Epoch: 2, Shards: []string{"shard-0"}, VNodes: 64, Group: "shard-0", Source: "shard-1", Data: export.encode()},
+	} {
+		f.Add(encodeMigrate(m))
 	}
+	for _, raw := range [][]byte{
+		[]byte("rshd\x00\x01" + `{"key":"k/1","cmd":"dg=="}`),                           // retired keyed JSON envelope
+		[]byte("rshd\x00\x01" + `{"migrate":{"out":true,"epoch":1,"group":"shard-0"}}`), // retired wrapped migration
+		[]byte("rshd\x00\x01" + `{"epoch":1,"group":"shard-0"}}`),                       // trailing bytes
+		[]byte("rshd\x00\x01"),
+		[]byte("rshb\x00\x01"),      // retired envelope tag, no key length
+		[]byte("rshb\x00\x01\x05k"), // retired envelope, key overruns payload
+		[]byte("raw log payload"),
+	} {
+		mustReject(raw)
+	}
+	f.Add(encodeKVCommand("k/1", ""))        // a routed query
+	f.Add(encodeKVCommand("k\xfe", "v\xff")) // key and value that are not UTF-8
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		cmd, err := decodeKVCommand(raw)
-		if err != nil {
+		key, rest, mig, ok := decodeKVCommand(raw)
+		if !ok {
 			return // rejected is fine; panicking is not
 		}
-		again, err := decodeKVCommand(encodeKVCommand(cmd.Key, cmd.Value))
-		if err != nil || again != cmd {
-			t.Fatalf("round trip of %+v = (%+v, %v)", cmd, again, err)
+		if mig == nil {
+			k2, r2, m2, ok := decodeKVCommand(encodeKVCommand(string(key), string(rest)))
+			if !ok || m2 != nil || !bytes.Equal(k2, key) || !bytes.Equal(r2, rest) {
+				t.Fatalf("round trip of (%q, %q) = (%q, %q, %+v, %v)", key, rest, k2, r2, m2, ok)
+			}
+			return
+		}
+		if key != nil || rest != nil {
+			t.Fatalf("migration decoded with key %q and rest %q", key, rest)
+		}
+		first := encodeMigrate(*mig)
+		_, _, m2, ok := decodeKVCommand(first)
+		if !ok || m2 == nil {
+			t.Fatalf("re-encoded migration %q does not decode", first)
+		}
+		if second := encodeMigrate(*m2); !bytes.Equal(second, first) {
+			t.Fatalf("migration re-encoding unstable: %q then %q", first, second)
 		}
 	})
 }

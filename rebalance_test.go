@@ -1,7 +1,6 @@
 package rdmaagreement
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,11 +11,17 @@ import (
 	"rdmaagreement/internal/shard"
 )
 
-// ringSnapshot reads the committed ring under s.mu for test inspection.
-func (s *Sharded) ringSnapshot() *shard.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring
+// ringSnapshot reads the committed ring under kv.mu for test inspection.
+func (kv *ShardedKV) ringSnapshot() *shard.Ring {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	return kv.ring
+}
+
+// routedCommand is the exact command a Put of key=value proposes, for tests
+// that commit one at a shard's log directly, bypassing the router.
+func routedCommand(key, value string) []byte {
+	return encodeKVCommand(key, value)
 }
 
 // rawFoundIn counts the groups whose machine actually holds key, by querying
@@ -64,11 +69,11 @@ func TestAddShardMovesKeysExactlyOnce(t *testing.T) {
 		}
 	}
 
-	oldRing := kv.s.ringSnapshot().Clone()
+	oldRing := kv.ringSnapshot().Clone()
 	if err := kv.AddShard(ctx, "shard-2"); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
-	newRing := kv.s.ringSnapshot()
+	newRing := kv.ringSnapshot()
 
 	// The ring diff predicts the migrated set.
 	predicted := 0
@@ -297,7 +302,7 @@ func TestOwnershipGateRefusesMovedKey(t *testing.T) {
 	defer cancel()
 
 	// Find a key that the grown ring moves to the new shard.
-	oldRing := kv.s.ringSnapshot().Clone()
+	oldRing := kv.ringSnapshot().Clone()
 	grown := oldRing.Clone()
 	grown.Add("shard-2")
 	var key, oldOwner string
@@ -318,7 +323,7 @@ func TestOwnershipGateRefusesMovedKey(t *testing.T) {
 	// The race's stand-in: a write that routed to the old owner before the
 	// move but commits after it. Its entry commits, but the machine refuses
 	// it — deterministically, on every replica — instead of forking the key.
-	env := encodeKeyed(key, encodeKVCommand(key, "split-brain"))
+	env := routedCommand(key, "split-brain")
 	if _, _, err := kv.ShardLog(oldOwner).Propose(ctx, env); !errors.Is(err, ErrKeyMoved) {
 		t.Fatalf("stale-routed propose err = %v, want ErrKeyMoved", err)
 	}
@@ -339,74 +344,11 @@ func TestOwnershipGateRefusesMovedKey(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEnvelopeParts holds the shard envelope decoder to
-// reject-or-round-trip on arbitrary bytes: it must never panic, and an
-// envelope it accepts must re-encode to a value that decodes to the same
-// parts. Migration commands are JSON, so their check is that re-encoding is
-// stable: encode(decode(encode(m))) == encode(m).
-func FuzzDecodeEnvelopeParts(f *testing.F) {
-	f.Add(encodeKeyed("k/1", encodeKVCommand("k/1", "v")))
-	f.Add(encodeKeyed("", nil))
-	for _, m := range []migrateCmd{
-		{Out: true, Epoch: 1, Shards: []string{"shard-0", "shard-1"}, VNodes: 64, Group: "shard-0"},
-		{Epoch: 2, Shards: []string{"shard-0"}, VNodes: 64, Group: "shard-0", Source: "shard-1", Data: []byte(`{"k":"v"}`)},
-	} {
-		raw, err := encodeMigrate(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	// Seeds that must be rejected.
-	rejected := [][]byte{
-		[]byte("rshd\x00\x01" + `{"key":"k/1","cmd":"dg=="}`),                           // retired keyed JSON envelope
-		[]byte("rshd\x00\x01" + `{"migrate":{"out":true,"epoch":1,"group":"shard-0"}}`), // retired wrapped migration
-		[]byte("rshd\x00\x01" + `{"epoch":1,"group":"shard-0"}}`),                       // trailing bytes
-		[]byte("rshd\x00\x01"),
-		[]byte("rshb\x00\x01"),      // tag, no key length
-		[]byte("rshb\x00\x01\x05k"), // key overruns payload
-		[]byte("raw log payload"),
-	}
-	for _, raw := range rejected {
-		if key, cmd, mig, ok := decodeEnvelopeParts(raw); ok {
-			f.Fatalf("decodeEnvelopeParts(%q) = (%q, %q, %+v), want rejection", raw, key, cmd, mig)
-		}
-		f.Add(raw)
-	}
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		key, cmd, mig, ok := decodeEnvelopeParts(raw)
-		if !ok {
-			return // rejected is fine; panicking is not
-		}
-		if mig == nil {
-			k2, c2, m2, ok := decodeEnvelopeParts(encodeKeyed(string(key), cmd))
-			if !ok || m2 != nil || !bytes.Equal(k2, key) || !bytes.Equal(c2, cmd) {
-				t.Fatalf("keyed round trip of (%q, %q) = (%q, %q, %+v, %v)", key, cmd, k2, c2, m2, ok)
-			}
-			return
-		}
-		if key != nil || cmd != nil {
-			t.Fatalf("migration decoded with key %q and cmd %q", key, cmd)
-		}
-		first, err := encodeMigrate(*mig)
-		if err != nil {
-			t.Fatalf("encodeMigrate(%+v): %v", *mig, err)
-		}
-		_, _, m2, ok := decodeEnvelopeParts(first)
-		if !ok || m2 == nil {
-			t.Fatalf("re-encoded migration %q does not decode", first)
-		}
-		if second, err := encodeMigrate(*m2); err != nil || !bytes.Equal(second, first) {
-			t.Fatalf("migration re-encoding unstable: %q then %q (%v)", first, second, err)
-		}
-	})
-}
-
 // TestStaleReadSurvivesStalledLeader is the regression test for the stale-
-// read routing bug: Sharded.StaleRead used to read from Cluster.Leader(),
-// which mid-takeover can still name the deposed holder — a crashed process
-// whose frozen learner view stops advancing. StaleRead must keep answering
+// read routing bug: the stale read behind Get used to read from
+// Cluster.Leader(), which mid-takeover can still name the deposed holder — a
+// crashed process whose frozen learner view stops advancing. Get must keep
+// answering
 // throughout the stall, the takeover, and after it.
 func TestStaleReadSurvivesStalledLeader(t *testing.T) {
 	kv, err := NewShardedKV(ShardedKVOptions{
@@ -431,7 +373,7 @@ func TestStaleReadSurvivesStalledLeader(t *testing.T) {
 	old := l.Cluster().LeaseHolder()
 	l.Cluster().CrashProcess(old)
 
-	// Poll continuously through the takeover: every StaleRead must answer
+	// Poll continuously through the takeover: every Get must answer
 	// the committed value — no error, no empty answer from a frozen view.
 	deadline := time.Now().Add(15 * time.Second)
 	for l.Cluster().LeaseEpoch() == epochBefore {
