@@ -42,7 +42,8 @@ const (
 	KindTransfer = "transfer"
 	// KindRebalance adds a shard mid-workload with the handoff interrupted
 	// partway (context cancelled), resumes it to completion, then removes
-	// the shard the same way — the migration-epoch resume path, twice.
+	// the shard the same way — the resume path, which re-proposes the
+	// rebalance's commands under its ring version, twice.
 	KindRebalance = "rebalance"
 )
 

@@ -1,13 +1,12 @@
 // Package applydet implements the smrlint analyzer that machine-checks the
 // replicated-state-machine determinism contract: every replica must compute
 // the identical result for the identical entry sequence, so code reachable
-// from StateMachine.Apply / Restore and Migrator.MigrateOut / MigrateIn must
-// not consult wall clocks, randomness, scheduling, or map iteration order.
+// from StateMachine.Apply / Restore must not consult wall clocks,
+// randomness, scheduling, or map iteration order.
 //
 // Roots are detected structurally — an Apply method whose first parameter is
-// a struct carrying a Cmd []byte field, a Restore([]byte, …) method on a type
-// that also has Apply, MigrateOut(func(string) bool …), and
-// MigrateIn([]byte, func(string) bool …) — plus any function annotated
+// a struct carrying a Cmd []byte field, and a Restore([]byte, …) method on a
+// type that also has Apply — plus any function annotated
 // //smrlint:deterministic.
 //
 // Forbidden in reachable code:
@@ -50,7 +49,7 @@ func (*NondetFact) AFact() {}
 // Analyzer is the applydet analysis.
 var Analyzer = &analysis.Analyzer{
 	Name:      "applydet",
-	Doc:       "check determinism of code reachable from Apply/Restore/MigrateOut/MigrateIn",
+	Doc:       "check determinism of code reachable from Apply/Restore",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*NondetFact)(nil)},
 }
@@ -355,12 +354,6 @@ func isRoot(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 			return false
 		}
 		return recvHasApply(pass, fd)
-	case "MigrateOut":
-		return params != nil && len(params.List) > 0 && isKeepFunc(pass.TypesInfo.TypeOf(params.List[0].Type))
-	case "MigrateIn":
-		return params != nil && len(params.List) >= 2 &&
-			isByteSlice(pass.TypesInfo.TypeOf(params.List[0].Type)) &&
-			isKeepFunc(pass.TypesInfo.TypeOf(params.List[1].Type))
 	}
 	return false
 }
@@ -394,18 +387,6 @@ func hasCmdField(t types.Type) bool {
 		}
 	}
 	return false
-}
-
-// isKeepFunc matches func(string) bool, the migration keep predicate.
-func isKeepFunc(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
-		return false
-	}
-	return isString(sig.Params().At(0).Type()) && isBool(sig.Results().At(0).Type())
 }
 
 func rootName(fn *types.Func) string {
@@ -504,11 +485,6 @@ func isString(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-func isBool(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsBoolean != 0
 }
 
 // render flattens an expression for diagnostics.

@@ -1,7 +1,7 @@
 // Package retained implements the smrlint analyzer enforcing the read-only
 // aliasing contract on command and snapshot buffers: Entry.Cmd (and the byte
-// slices handed to Restore/MigrateIn) are borrowed from the log's receive
-// path and are only valid for the duration of the call. Callers must not
+// slice handed to Restore) are borrowed from the log's receive path and are
+// only valid for the duration of the call. Callers must not
 //
 //   - store them (or a reslice of them) in a struct field reachable through a
 //     pointer, a map, a slice, a package-level variable, or a channel;
@@ -49,9 +49,8 @@ func run(pass *analysis.Pass) (any, error) {
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	tainted := make(map[*types.Var]bool)
 
-	// Restore and MigrateIn receive a borrowed buffer as their first
-	// parameter.
-	if fd.Recv != nil && (fd.Name.Name == "Restore" || fd.Name.Name == "MigrateIn") {
+	// Restore receives a borrowed buffer as its first parameter.
+	if fd.Recv != nil && fd.Name.Name == "Restore" {
 		if p := firstParam(fd); p != nil {
 			if obj, ok := pass.TypesInfo.Defs[p].(*types.Var); ok && isByteSlice(obj.Type()) {
 				tainted[obj] = true

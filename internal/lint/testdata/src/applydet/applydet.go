@@ -73,18 +73,18 @@ func (r *rangeMachine) Apply(e Entry) ([]byte, error) {
 	return out, nil
 }
 
-func (r *rangeMachine) MigrateOut(keep func(string) bool) ([]byte, int, error) {
+func (r *rangeMachine) Restore(snap []byte, index uint64) error {
 	keys := make([]string, 0, len(r.state))
 	for k := range r.state {
 		keys = append(keys, k) // near miss: collected keys are sorted below
 	}
 	sort.Strings(keys)
 	for k := range r.state {
-		if !keep(k) {
+		if k != string(snap) {
 			delete(r.state, k) // near miss: deletes are order-independent
 		}
 	}
-	return nil, len(keys), nil
+	return nil
 }
 
 func (r *rangeMachine) Snapshot() ([]byte, error) {

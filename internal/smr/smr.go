@@ -619,7 +619,7 @@ func (l *Log) Read(ctx context.Context, query []byte) ([]byte, error) {
 // through the log, and a zero-slot answer would flush nothing. It is the read
 // index of Read and ReadFrom when the lease is in doubt, the prefix fence of
 // a live shard rebalance (the sharded layer barriers a ceding group
-// immediately before committing its migrate-out command, so the export
+// immediately before committing its export command, so the export
 // captures every write routed there before the handoff began), and is useful
 // to any caller that needs "everything before this point is applied" without
 // reading state.
@@ -1736,7 +1736,6 @@ func (l *Log) maybeSnapshot() {
 	lastIndex := l.firstIndex + uint64(len(l.entries)) - 1
 	releaseFrom, lastSlot := l.truncateLocked()
 	l.snap = &snapState{data: data, lastIndex: lastIndex, lastSlot: lastSlot}
-	l.snapCount++
 	l.snapErr = nil
 	var behind []types.ProcID
 	for p, view := range l.replicas {
@@ -1749,6 +1748,11 @@ func (l *Log) maybeSnapshot() {
 	l.traceEvent(holder, trace.KindSnapshot,
 		"snapshot through index %d; slots ≤ %d truncated", lastIndex, lastSlot)
 	l.releaseSlots(releaseFrom, lastSlot)
+	// Count the snapshot only once its regions are free, so whoever sees
+	// Snapshots() advance also sees LiveRegions() drop.
+	l.mu.Lock()
+	l.snapCount++
+	l.mu.Unlock()
 
 	// Lagging views: build a restored machine off-lock, install it with a
 	// pointer swap. StaleRead keeps serving the old (stale) machine until

@@ -46,8 +46,8 @@ const (
 	// KindRefusedNoOp marks a recovery no-op losing to the original batch,
 	// which had persisted and was re-decided.
 	KindRefusedNoOp Kind = "refused-noop"
-	// KindShardMigrate marks one leg of a shard rebalance (migrate-out
-	// commit on the source, migrate-in commit on the destination).
+	// KindShardMigrate marks one leg of a shard rebalance (an export or
+	// ack committed on a ceder, an import on a receiver).
 	KindShardMigrate Kind = "shard-migrate"
 	// KindSnapshot marks a state-machine snapshot truncating the log.
 	KindSnapshot Kind = "snapshot"

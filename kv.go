@@ -3,10 +3,8 @@ package rdmaagreement
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 
 	"rdmaagreement/internal/shard"
@@ -25,9 +23,14 @@ import (
 // retired and no longer decodes.
 var kvMagic = []byte("rkv\x00\x02")
 
-// migrateMagic tags a migration command, a bare JSON migrateCmd: rare and
-// structured, it is the only JSON form on the command path.
-var migrateMagic = []byte("rshd\x00\x01")
+// migrateMagic tags a migration command, framed like the state (see
+// kvStateMagic):
+//
+//	magic | kind | version | group | vnodes | shards | exports
+//
+// The trailing byte versions the format; it is 2 because version 1, a JSON
+// object, is retired and no longer decodes.
+var migrateMagic = []byte("rshd\x00\x02")
 
 // ErrForeignCommand is the response of the KV state machine to a committed
 // entry that does not carry the KV wire tag. The entry stays in the log
@@ -46,9 +49,9 @@ func encodeKVCommand(key, value string) []byte {
 }
 
 // decodeKVCommand splits a committed entry or a routed query into its key
-// and rest (the KV framing) or a migration command (JSON). The returned key
-// and rest alias raw — the apply path converts them to strings only where it
-// stores them. ok=false means raw carries neither well-formed tag.
+// and rest (the KV framing) or a migration command. The returned key, rest
+// and exports alias raw — the apply path converts them to strings only where
+// it stores them. ok=false means raw carries neither well-formed tag.
 func decodeKVCommand(raw []byte) (key, rest []byte, mig *migrateCmd, ok bool) {
 	if bytes.HasPrefix(raw, kvMagic) {
 		rest := raw[len(kvMagic):]
@@ -59,21 +62,20 @@ func decodeKVCommand(raw []byte) (key, rest []byte, mig *migrateCmd, ok bool) {
 		rest = rest[n:]
 		return rest[:klen:klen], rest[klen:], nil, true
 	}
-	if bytes.HasPrefix(raw, migrateMagic) {
-		// Strict: unknown fields (such as the retired keyed JSON envelope's
-		// "key"/"cmd") and trailing bytes are rejected, not ignored.
-		var m migrateCmd
-		dec := json.NewDecoder(bytes.NewReader(raw[len(migrateMagic):]))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&m); err != nil {
-			return nil, nil, nil, false
-		}
-		if _, err := dec.Token(); err != io.EOF {
-			return nil, nil, nil, false
-		}
-		return nil, nil, &m, true
+	if !bytes.HasPrefix(raw, migrateMagic) {
+		return nil, nil, nil, false
 	}
-	return nil, nil, nil, false
+	// Strict: every command has one encoding, so unknown kinds, oversized
+	// rings, rings with no shards and trailing bytes are rejected.
+	r := stateReader{buf: raw[len(migrateMagic):]}
+	m := &migrateCmd{Kind: migrateKind(r.uvarint()), Version: r.uvarint(), Group: string(r.field())}
+	vnodes := r.uvarint()
+	m.Shards, m.Exports = readList[string](&r), readList[[]byte](&r)
+	if r.done() != nil || m.Kind > ackKind || vnodes > maxVirtualNodes || len(m.Shards) == 0 {
+		return nil, nil, nil, false
+	}
+	m.VNodes = int(vnodes)
+	return nil, nil, m, true
 }
 
 // encodeKVResult is the machine's response to writes (the key's previous
@@ -101,46 +103,43 @@ func decodeKVResult(resp []byte) (string, bool, error) {
 // tooling uses to probe individual replicas — into (value, found).
 func DecodeKVResult(resp []byte) (string, bool, error) { return decodeKVResult(resp) }
 
+// migrateKind is the step a migration command takes in its group.
+type migrateKind uint64
+
+const (
+	exportKind migrateKind = iota // in a ceder: install the ring, answer the keys it routes elsewhere
+	importKind                    // in a receiver: merge the keys it owns from every export
+	ackKind                       // in a ceder, once every import committed: drop the ceded keys
+)
+
 // migrateCmd is a rebalance step committed through a group's own log —
 // membership changes ride the logs they affect, the Chubby/ZooKeeper
 // reconfiguration-via-log pattern. The ring after the change travels as
 // (Shards, VNodes): every machine rebuilds it deterministically, so the
 // ownership predicate needs no out-of-band state.
 type migrateCmd struct {
-	// Out marks the export half (committed in the ceding group); Ack marks
-	// the post-import acknowledgement that lets the ceding group drop its
-	// export outbox; otherwise this is an import (committed in a receiving
-	// group).
-	Out bool `json:"out,omitempty"`
-	Ack bool `json:"ack,omitempty"`
-	// Epoch is the migration epoch: one per rebalance operation, strictly
-	// increasing. It makes re-proposed migration commands idempotent — a
-	// duplicate export replays its stored result, a duplicate import is a
-	// no-op — which is what lets an interrupted rebalance be retried safely.
-	Epoch uint64 `json:"epoch"`
-	// Shards and VNodes describe the ring after the rebalance.
-	Shards []string `json:"shards"`
-	VNodes int      `json:"vnodes"`
+	Kind migrateKind
+	// Version numbers the rebalance: one per AddShard/RemoveShard, strictly
+	// increasing, shared by all of its commands. A machine takes one export
+	// or import per version, so a re-proposed command is a no-op (a
+	// duplicate export answers what the first did), which is what lets an
+	// interrupted rebalance be retried safely.
+	Version uint64
 	// Group is the group this command is committed in.
-	Group string `json:"group"`
-	// Source is the ceding group (imports only).
-	Source string `json:"source,omitempty"`
-	// Data is the ceded sub-state (imports only).
-	Data []byte `json:"data,omitempty"`
+	Group string
+	// Shards and VNodes describe the ring after the rebalance.
+	Shards []string
+	VNodes int
+	// Exports are the ceders' exports (imports only).
+	Exports [][]byte
 }
 
-// migrateResult is the Apply response of a migration command: the export's
-// bytes (out) and the number of keys exported or merged.
-type migrateResult struct {
-	Data []byte `json:"data,omitempty"`
-	Keys int    `json:"keys"`
-}
-
-// encodeMigrate frames a migration command for its group's log. Marshal
-// cannot fail on a struct of strings, numbers and bytes.
+// encodeMigrate frames a migration command for its group's log.
 func encodeMigrate(m migrateCmd) []byte {
-	blob, _ := json.Marshal(m)
-	return append(append([]byte(nil), migrateMagic...), blob...)
+	out := binary.AppendUvarint(append([]byte(nil), migrateMagic...), uint64(m.Kind))
+	out = appendField(binary.AppendUvarint(out, m.Version), m.Group)
+	out = appendList(binary.AppendUvarint(out, uint64(m.VNodes)), m.Shards)
+	return appendList(out, m.Exports)
 }
 
 // kvMachine is the string-map StateMachine behind ShardedKV, inside one
@@ -151,10 +150,10 @@ func encodeMigrate(m migrateCmd) []byte {
 // new owner — and it applies the migration commands that carve a moved
 // range out of one group and merge it into another.
 //
-// All gate state (the committed ring config, the import dedupe epochs, the
-// export outbox) is part of the machine state proper: every replica view
-// derives the identical gate from the identical log, and snapshots carry it.
-// The owning Log serializes all calls, so no internal locking is needed.
+// All gate state (the committed ring and its version) is part of the
+// machine state proper: every replica view derives the identical gate from
+// the identical log, and snapshots carry it. The owning Log serializes all
+// calls, so no internal locking is needed.
 // Foreign entries are counted by the ShardedKV's OnCommit hook — exactly once
 // per committed entry — not here: one entry is applied by the authoritative
 // machine and every replica view, and counting in Apply would multiply it by
@@ -162,20 +161,17 @@ func encodeMigrate(m migrateCmd) []byte {
 type kvMachine struct {
 	self  string
 	state map[string]string
-
-	ring     *shard.Ring       // latest committed ownership config; nil = every routed key is ours
-	inEpochs map[string]uint64 // per ceding source: epoch of the last applied import
-	// Export outbox: the latest migrate-out's result, keyed by its epoch. A
-	// re-proposed export (the rebalancer retried after losing the first
-	// response) replays the stored result instead of exporting the — by then
-	// empty — range again, which would silently drop the ceded state.
-	outEpoch uint64
-	outData  []byte
-	outKeys  int
+	// ring is the latest committed ownership config, nil (every routed key is
+	// ours) until the group's first rebalance, and version the rebalance
+	// that installed it. Keys the ring routes elsewhere are ceded: an export
+	// leaves them in state, refused by the gate, until the ack — or, if the
+	// ack is lost, the next rebalance — drops them.
+	ring    *shard.Ring
+	version uint64
 }
 
 func newKVMachine(self string) *kvMachine {
-	return &kvMachine{self: self, state: make(map[string]string), inEpochs: make(map[string]uint64)}
+	return &kvMachine{self: self, state: make(map[string]string)}
 }
 
 // Apply executes one committed write and responds with the key's previous
@@ -206,10 +202,21 @@ func (m *kvMachine) gate(key []byte, index uint64) error {
 	if m.ring == nil {
 		return nil
 	}
-	if k := string(key); m.ring.Shard(k) != m.self {
+	if k := string(key); !m.owns(k) {
 		return &KeyMovedError{Key: k, From: m.self, Owner: m.ring.Shard(k), Index: index}
 	}
 	return nil
+}
+
+func (m *kvMachine) owns(key string) bool { return m.ring == nil || m.ring.Shard(key) == m.self }
+
+// dropCeded deletes the keys the ring routes elsewhere.
+func (m *kvMachine) dropCeded() {
+	for k := range m.state {
+		if !m.owns(k) {
+			delete(m.state, k)
+		}
+	}
 }
 
 func (m *kvMachine) applyMigrate(c *migrateCmd) ([]byte, error) {
@@ -218,63 +225,58 @@ func (m *kvMachine) applyMigrate(c *migrateCmd) ([]byte, error) {
 		// misdirected raw propose) must not carve up THIS group's state.
 		return nil, fmt.Errorf("sharded kv: migrate command for %s committed in %s", c.Group, m.self)
 	}
-	if c.Ack {
-		// The exported range has been imported everywhere: drop the outbox
-		// copy so the ceded bytes stop living in this machine's state (and
-		// its snapshots) forever. Replaying a stale ack is harmless.
-		if c.Epoch == m.outEpoch {
-			m.outData = nil
+	in := make(map[string]string)
+	for _, export := range c.Exports {
+		r := stateReader{buf: export}
+		r.pairs(in)
+		if err := r.done(); err != nil {
+			// Change nothing on failure: a retried rebalance must re-propose
+			// this import and have it actually merge, not hit the duplicate
+			// branch and silently drop the exported keys.
+			return nil, fmt.Errorf("sharded kv: migrate into %s: %w", m.self, err)
 		}
-		return json.Marshal(migrateResult{})
 	}
-	next := shard.New(c.Shards, c.VNodes)
-	if c.Out {
-		if c.Epoch <= m.outEpoch {
-			if c.Epoch == m.outEpoch {
-				// Duplicate export (a lost-response retry): replay the result.
-				return json.Marshal(migrateResult{Data: m.outData, Keys: m.outKeys})
-			}
-			return json.Marshal(migrateResult{}) // stale epoch: nothing left to say
+	switch {
+	case c.Kind == ackKind:
+		// Every import has committed: drop the ceded keys so they stop
+		// living in this machine's state (and its snapshots). A stale ack is
+		// harmless: the newer rebalance dropped them already.
+		if c.Version == m.version {
+			m.dropCeded()
 		}
-		// Gate and carve-out commit together, inside this one apply, so no
-		// command can slip between the cede and the export. Deterministic:
-		// every replica runs the identical branch on the identical state, and
-		// the export encodes its keys sorted.
-		moved := newKVMachine(m.self)
-		for k, v := range m.state {
-			if next.Shard(k) != m.self {
-				moved.state[k] = v
-				delete(m.state, k)
-			}
-		}
-		m.ring = next
-		m.outEpoch, m.outData, m.outKeys = c.Epoch, moved.encode(), len(moved.state)
-		return json.Marshal(migrateResult{Data: m.outData, Keys: m.outKeys})
+		return nil, nil
+	case c.Kind == exportKind && c.Version < m.version:
+		return nil, fmt.Errorf("sharded kv: export of rebalance %d committed in %s after rebalance %d", c.Version, m.self, m.version)
+	case c.Version > m.version:
+		// A newer rebalance first drops what the previous one ceded, in case
+		// its ack was lost.
+		m.dropCeded()
+		m.ring, m.version = shard.New(c.Shards, c.VNodes), c.Version
+	case c.Kind == importKind:
+		// Duplicate import (same rebalance re-proposed) or a stale one:
+		// merging again could overwrite writes accepted since the first
+		// merge.
+		return binary.AppendUvarint(nil, 0), nil
 	}
-	if last, dup := m.inEpochs[c.Source]; dup && c.Epoch <= last {
-		// Duplicate import (same handoff re-proposed): merging again could
-		// overwrite writes accepted since the first merge.
-		return json.Marshal(migrateResult{})
-	}
-	in, err := decodeKVState(m.self, c.Data)
-	if err != nil {
-		// Record nothing on failure: a retried handoff must re-propose this
-		// import and have it actually merge, not hit the dedupe branch and
-		// silently drop the exported range.
-		return nil, fmt.Errorf("sharded kv: migrate into %s: %w", m.self, err)
+	if c.Kind == exportKind {
+		// Gate and export commit together, inside this one apply, so no
+		// command can slip between the cede and the export. The ceded keys
+		// stay, frozen by the gate, so a duplicate export (a lost-response
+		// retry) answers the same bytes. Deterministic: every replica runs
+		// the identical branch on the identical state, and the export
+		// encodes its keys sorted.
+		return m.appendPairs(nil, slices.DeleteFunc(sortedKeys(m.state), m.owns)), nil
 	}
 	// A removed shard's export fans out to every survivor: keep only the
 	// keys this group owns under the new ring.
-	keys := 0
-	for k, v := range in.state {
-		if next.Shard(k) == m.self {
+	keys := uint64(0)
+	for k, v := range in {
+		if m.owns(k) {
 			m.state[k] = v
 			keys++
 		}
 	}
-	m.inEpochs[c.Source] = c.Epoch
-	m.ring = next
-	return json.Marshal(migrateResult{Keys: keys})
+	return binary.AppendUvarint(nil, keys), nil
 }
 
 // Query answers a key lookup. A framed query passes the gate first; an
@@ -305,19 +307,18 @@ func (m *kvMachine) Restore(snapshot []byte, _ uint64) error {
 	return nil
 }
 
-// kvStateMagic opens the one encoding of a kvMachine's state, shared by its
-// snapshots and its migrate exports (an export is the state of a machine
-// that holds only the ceded keys):
+// kvStateMagic opens the one encoding of a kvMachine's state, its snapshot:
 //
-//	magic | vnodes | shards | in-epochs | out epoch | out data | out keys | pairs
+//	magic | vnodes | shards | version | pairs
 //
-// Numbers are uvarints; strings and blobs are uvarint-length-prefixed, so
-// every key and value survives byte for byte; each list is a uvarint count
-// followed by its items, an in-epoch being (source, epoch) and a pair (key,
+// Numbers are uvarints in their shortest form; strings and blobs are
+// uvarint-length-prefixed, so every key and value survives byte for byte;
+// each list is a uvarint count followed by its items, a pair being (key,
 // value). The ring is absent (no shards) until the group's first rebalance.
-// Shards, sources and keys are sorted, so replicas in equal states encode
-// equal bytes.
-var kvStateMagic = []byte("rkvs\x00\x01")
+// Shards and keys are sorted, so replicas in equal states encode equal
+// bytes. A migrate export is the pairs alone. The trailing byte versions the
+// format; version 1 no longer decodes.
+var kvStateMagic = []byte("rkvs\x00\x02")
 
 // maxVirtualNodes bounds a ring's virtual nodes per shard, so that a corrupt
 // state cannot make the decoder build an arbitrarily large ring.
@@ -329,24 +330,18 @@ func (m *kvMachine) encode() []byte {
 	if m.ring != nil {
 		shards, vnodes = m.ring.Shards(), m.ring.VirtualNodes()
 	}
-	sources, keys := sortedKeys(m.inEpochs), sortedKeys(m.state)
-	size := len(kvStateMagic) + len(m.outData) + 8*binary.MaxVarintLen64
+	keys := sortedKeys(m.state)
+	size := len(kvStateMagic) + 8*binary.MaxVarintLen64
 	for _, k := range keys {
 		size += len(k) + len(m.state[k]) + 4
 	}
-	out := append(make([]byte, 0, size), kvStateMagic...)
-	out = binary.AppendUvarint(out, uint64(vnodes))
-	out = binary.AppendUvarint(out, uint64(len(shards)))
-	for _, s := range shards {
-		out = appendField(out, s)
-	}
-	out = binary.AppendUvarint(out, uint64(len(sources)))
-	for _, s := range sources {
-		out = binary.AppendUvarint(appendField(out, s), m.inEpochs[s])
-	}
-	out = binary.AppendUvarint(out, m.outEpoch)
-	out = appendField(out, m.outData)
-	out = binary.AppendUvarint(out, uint64(m.outKeys))
+	out := binary.AppendUvarint(append(make([]byte, 0, size), kvStateMagic...), uint64(vnodes))
+	out = binary.AppendUvarint(appendList(out, shards), m.version)
+	return m.appendPairs(out, keys)
+}
+
+// appendPairs appends the list of keys' (key, value) pairs.
+func (m *kvMachine) appendPairs(out []byte, keys []string) []byte {
 	out = binary.AppendUvarint(out, uint64(len(keys)))
 	for _, k := range keys {
 		out = appendField(appendField(out, k), m.state[k])
@@ -354,7 +349,7 @@ func (m *kvMachine) encode() []byte {
 	return out
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+func sortedKeys(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -367,6 +362,14 @@ func appendField[T string | []byte](out []byte, b T) []byte {
 	return append(binary.AppendUvarint(out, uint64(len(b))), b...)
 }
 
+func appendList[T string | []byte](out []byte, items []T) []byte {
+	out = binary.AppendUvarint(out, uint64(len(items)))
+	for _, b := range items {
+		out = appendField(out, b)
+	}
+	return out
+}
+
 // decodeKVState rebuilds the machine named self from its encoded state. It
 // rejects a missing tag, truncation, a length or count that overruns the
 // input, an oversized ring and trailing bytes.
@@ -377,26 +380,12 @@ func decodeKVState(self string, raw []byte) (*kvMachine, error) {
 	r := stateReader{buf: raw[len(kvStateMagic):]}
 	m := newKVMachine(self)
 	vnodes := r.uvarint()
-	shards := make([]string, r.count(1))
-	for i := range shards {
-		shards[i] = string(r.field())
-	}
-	for n := r.count(2); n > 0; n-- {
-		source := string(r.field())
-		m.inEpochs[source] = r.uvarint()
-	}
-	m.outEpoch = r.uvarint()
-	m.outData = bytes.Clone(r.field())
-	m.outKeys = int(r.uvarint())
-	for n := r.count(2); n > 0; n-- {
-		k := string(r.field())
-		m.state[k] = string(r.field())
-	}
-	switch {
-	case r.err != nil:
-		return nil, fmt.Errorf("kv state: %w", r.err)
-	case len(r.buf) > 0:
-		return nil, fmt.Errorf("kv state: %d trailing bytes", len(r.buf))
+	shards := readList[string](&r)
+	m.version = r.uvarint()
+	r.pairs(m.state)
+	switch err := r.done(); {
+	case err != nil:
+		return nil, fmt.Errorf("kv state: %w", err)
 	case vnodes > maxVirtualNodes:
 		return nil, fmt.Errorf("kv state: %d virtual nodes per shard, at most %d", vnodes, maxVirtualNodes)
 	case len(shards) > 0:
@@ -417,8 +406,8 @@ func (r *stateReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = errors.New("truncated number")
+	if n <= 0 || n > 1 && r.buf[n-1] == 0 {
+		r.err = errors.New("truncated number, or one not in its shortest form")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -449,4 +438,28 @@ func (r *stateReader) count(min int) int {
 		return 0
 	}
 	return int(n)
+}
+
+func readList[T string | []byte](r *stateReader) []T {
+	items := make([]T, r.count(1))
+	for i := range items {
+		items[i] = T(r.field())
+	}
+	return items
+}
+
+// pairs reads a list of (key, value) pairs into m.
+func (r *stateReader) pairs(m map[string]string) {
+	for n := r.count(2); n > 0; n-- {
+		k := string(r.field())
+		m[k] = string(r.field())
+	}
+}
+
+// done returns the first malformed field's error, or one for trailing bytes.
+func (r *stateReader) done() error {
+	if r.err == nil && len(r.buf) > 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.buf))
+	}
+	return r.err
 }

@@ -145,8 +145,8 @@ var lawKeys = []string{"a", "b", "c", "d", "e", "f", "g", "h", "k\xfe", "\xff", 
 
 // lawCommands generates a random command sequence for the machine of group
 // "shard-0": writes, exports, imports, acks, commands built for another
-// group, and foreign bytes, over rings drawn from three groups, with epochs
-// that repeat so duplicates and stale commands occur.
+// group, and foreign bytes, over rings drawn from three groups, with
+// versions that repeat so duplicates and stale commands occur.
 func lawCommands(rng *rand.Rand, n int) [][]byte {
 	groups := []string{"shard-0", "shard-1", "shard-2"}
 	ring := func() []string {
@@ -158,30 +158,24 @@ func lawCommands(rng *rand.Rand, n int) [][]byte {
 		}
 		return append(shards, "shard-0")
 	}
-	migrate := func(m migrateCmd) []byte {
-		m.Epoch, m.VNodes = uint64(1+rng.Intn(4)), 8
-		if m.Group == "" {
-			m.Group = "shard-0"
-		}
-		return encodeMigrate(m)
-	}
+	version := func() uint64 { return uint64(1 + rng.Intn(4)) }
 	cmds := make([][]byte, 0, n)
 	for len(cmds) < n {
 		switch r := rng.Intn(20); {
 		case r < 11:
 			cmds = append(cmds, encodeKVCommand(lawKeys[rng.Intn(len(lawKeys))], fmt.Sprintf("v%d\xfe", rng.Intn(100))))
 		case r < 13:
-			cmds = append(cmds, migrate(migrateCmd{Out: true, Shards: ring()}))
+			cmds = append(cmds, migrateOut("shard-0", version(), ring()))
 		case r < 16:
-			export := newKVMachine(groups[1+rng.Intn(2)])
+			export := map[string]string{}
 			for i := rng.Intn(5); i > 0; i-- {
-				export.state[lawKeys[rng.Intn(len(lawKeys))]] = fmt.Sprintf("in%d", rng.Intn(100))
+				export[lawKeys[rng.Intn(len(lawKeys))]] = fmt.Sprintf("in%d", rng.Intn(100))
 			}
-			cmds = append(cmds, migrate(migrateCmd{Shards: ring(), Source: export.self, Data: export.encode()}))
+			cmds = append(cmds, migrateIn("shard-0", version(), ring(), lawExport(export)))
 		case r < 18:
-			cmds = append(cmds, migrate(migrateCmd{Ack: true, Shards: ring()}))
+			cmds = append(cmds, migrateAck("shard-0", version(), ring()))
 		case r < 19:
-			cmds = append(cmds, migrate(migrateCmd{Out: true, Shards: ring(), Group: "shard-1"}))
+			cmds = append(cmds, migrateOut("shard-1", version(), ring()))
 		default:
 			cmds = append(cmds, []byte("foreign"))
 		}
@@ -248,7 +242,7 @@ func checkRoundTrip(s *kvMachine, snapshot func(*kvMachine) []byte, suffix [][]b
 func encodeSnapshot(m *kvMachine) []byte { return m.encode() }
 
 // TestSnapshotRoundTripLaw checks the round-trip law at every split of
-// random command sequences, so the ring, the in-epochs and the outbox all
+// random command sequences, so the ring, its version and ceded keys all
 // cross a snapshot in many states, and checks that each state's snapshot is
 // byte-exact: restoring it and snapshotting again gives the same bytes.
 func TestSnapshotRoundTripLaw(t *testing.T) {
@@ -269,24 +263,20 @@ func TestSnapshotRoundTripLaw(t *testing.T) {
 }
 
 // TestSnapshotRoundTripLawCatchesLoss runs the law against snapshots that
-// drop the ring, an import epoch or the export outbox, and requires it to
-// fail: the law must notice gate state a snapshot forgets.
+// drop the ring or its version, and requires it to fail: the law must
+// notice gate state a snapshot forgets.
 func TestSnapshotRoundTripLawCatchesLoss(t *testing.T) {
-	migrate := func(m migrateCmd) []byte {
-		m.Group, m.VNodes = "shard-0", 8
-		return encodeMigrate(m)
-	}
-	export := newKVMachine("shard-1")
+	export := map[string]string{}
 	for _, k := range lawKeys {
-		export.state[k] = "imported"
+		export[k] = "imported"
 	}
 	var prefix [][]byte
 	for _, k := range lawKeys {
 		prefix = append(prefix, encodeKVCommand(k, "v"))
 	}
 	ring := []string{"shard-0", "shard-1"}
-	exportCmd := migrate(migrateCmd{Out: true, Epoch: 1, Shards: ring})
-	importCmd := migrate(migrateCmd{Epoch: 1, Shards: ring, Source: "shard-1", Data: export.encode()})
+	exportCmd := migrateOut("shard-0", 1, ring)
+	importCmd := migrateIn("shard-0", 1, ring, lawExport(export))
 	prefix = append(prefix, exportCmd, importCmd)
 	var suffix [][]byte
 	for _, k := range lawKeys {
@@ -303,14 +293,9 @@ func TestSnapshotRoundTripLawCatchesLoss(t *testing.T) {
 			c.ring = nil
 			return c.encode()
 		},
-		"epoch": func(m *kvMachine) []byte {
+		"version": func(m *kvMachine) []byte {
 			c := *m
-			c.inEpochs = map[string]uint64{}
-			return c.encode()
-		},
-		"outbox": func(m *kvMachine) []byte {
-			c := *m
-			c.outEpoch, c.outData, c.outKeys = 0, nil, 0
+			c.version = 0
 			return c.encode()
 		},
 	} {
@@ -334,13 +319,15 @@ func FuzzRestore(f *testing.F) {
 	full := replay(lawCommands(rand.New(rand.NewSource(5)), 30)).encode()
 	state := func(b ...byte) []byte { return append(append([]byte(nil), kvStateMagic...), b...) }
 	for _, raw := range [][]byte{
-		full[:len(full)-1],                          // truncated
-		append(append([]byte(nil), full...), 0),     // trailing bytes
-		state(0x80),                                 // truncated number
-		state(0, 0, 0, 0, 5, 0, 0, 0),               // field overruns the state
-		state(0, 0, 0, 0, 0, 0, 9),                  // count overruns the state
-		state(0x81, 0x40, 1, 1, 'a', 0, 0, 0, 0, 0), // 8,193 virtual nodes
-		[]byte(`{"in_epochs":{},"inner":"e30="}`),   // the retired nested JSON
+		full[:len(full)-1],                                 // truncated
+		append(append([]byte(nil), full...), 0),            // trailing bytes
+		state(0x80),                                        // truncated number
+		state(0x80, 0, 0, 0, 0),                            // a number not in its shortest form
+		state(0, 1, 5),                                     // field overruns the state
+		state(0, 0, 0, 9),                                  // count overruns the state
+		state(0x81, 0x40, 1, 1, 'a', 0, 0),                 // 8,193 virtual nodes
+		[]byte("rkvs\x00\x01\x00\x00\x00\x00\x00\x00\x00"), // the retired layout with epochs and an outbox
+		[]byte(`{"in_epochs":{},"inner":"e30="}`),          // the retired nested JSON
 		[]byte("{}"),
 		nil,
 	} {

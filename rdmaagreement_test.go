@@ -191,10 +191,10 @@ func TestPublicAPIShardedKVLinearizableAndForeign(t *testing.T) {
 
 // FuzzDecodeKVCommand holds the one command decoder — behind Apply, Query,
 // the ownership gate and the commit hook — to reject-or-round-trip on
-// arbitrary bytes: it must never panic, and a frame it accepts must re-encode
-// to a value that decodes to the same key and rest. Migration commands are
-// JSON, so their check is that re-encoding is stable:
-// encode(decode(encode(m))) == encode(m).
+// arbitrary bytes: it must never panic, a KV frame it accepts must re-encode
+// to a value that decodes to the same key and rest, and a migration command
+// it accepts must re-encode to exactly its bytes: every command has one
+// encoding.
 func FuzzDecodeKVCommand(f *testing.F) {
 	f.Add(encodeKVCommand("k/1", "v"))
 	f.Add(encodeKVCommand("", ""))
@@ -218,21 +218,37 @@ func FuzzDecodeKVCommand(f *testing.F) {
 	// untagged bytes now.
 	mustReject(append([]byte("rshb\x00\x01\x03k/1"), encodeKVCommand("k/1", "v")...))
 	mustReject([]byte("rshb\x00\x01\x00"))
-	export := newKVMachine("shard-1")
-	export.state["k"] = "v"
+	valid := migrateCmd{Kind: exportKind, Version: 1, Group: "shard-0", Shards: []string{"shard-0", "shard-1"}, VNodes: 64}
 	for _, m := range []migrateCmd{
-		{Out: true, Epoch: 1, Shards: []string{"shard-0", "shard-1"}, VNodes: 64, Group: "shard-0"},
-		{Epoch: 2, Shards: []string{"shard-0"}, VNodes: 64, Group: "shard-0", Source: "shard-1", Data: export.encode()},
+		valid,
+		{Kind: importKind, Version: 2, Group: "shard-0", Shards: []string{"shard-0"}, VNodes: 64,
+			Exports: [][]byte{lawExport(map[string]string{"k": "v"}), lawExport(map[string]string{"k\xfe": "v\xff"})}},
+		{Kind: ackKind, Version: 1, Group: "shard-0", Shards: []string{"shard-0", "shard-1"}, VNodes: 64},
 	} {
 		f.Add(encodeMigrate(m))
 	}
+	with := func(edit func(*migrateCmd)) []byte {
+		m := valid
+		edit(&m)
+		return encodeMigrate(m)
+	}
 	for _, raw := range [][]byte{
-		[]byte("rshd\x00\x01" + `{"key":"k/1","cmd":"dg=="}`),                           // retired keyed JSON envelope
-		[]byte("rshd\x00\x01" + `{"migrate":{"out":true,"epoch":1,"group":"shard-0"}}`), // retired wrapped migration
-		[]byte("rshd\x00\x01" + `{"epoch":1,"group":"shard-0"}}`),                       // trailing bytes
+		[]byte("rshd\x00\x01" + `{"out":true,"epoch":1,"shards":["shard-0","shard-1"],"vnodes":64,"group":"shard-0"}`),                             // retired JSON export
+		[]byte("rshd\x00\x01" + `{"epoch":2,"shards":["shard-0"],"vnodes":64,"group":"shard-0","source":"shard-1","data":"cmt2cwABAAAAAAAAAA=="}`), // retired JSON import
+		[]byte("rshd\x00\x01" + `{"key":"k/1","cmd":"dg=="}`),                                                                                      // retired keyed JSON envelope
+		[]byte("rshd\x00\x01" + `{"migrate":{"out":true,"epoch":1,"group":"shard-0"}}`),                                                            // retired wrapped migration
+		[]byte("rshd\x00\x01" + `{"epoch":1,"group":"shard-0"}}`),                                                                                  // retired JSON, trailing bytes
 		[]byte("rshd\x00\x01"),
-		[]byte("rshb\x00\x01"),      // retired envelope tag, no key length
-		[]byte("rshb\x00\x01\x05k"), // retired envelope, key overruns payload
+		[]byte("rshd\x00\x02"),
+		with(func(m *migrateCmd) { m.Kind = 3 }),                               // unknown kind
+		with(func(m *migrateCmd) { m.Kind = 256 + importKind }),                // unknown kind a byte would truncate to an import
+		with(func(m *migrateCmd) { m.VNodes = maxVirtualNodes + 1 }),           // oversized ring
+		with(func(m *migrateCmd) { m.Shards = nil }),                           // a ring with no shards
+		append(with(func(*migrateCmd) {}), 0),                                  // trailing bytes
+		append([]byte("rshd\x00\x02"), 1, 1, 1, 'g', 8, 1, 1, 'g', 5),          // export count overruns
+		append([]byte("rshd\x00\x02"), 0x80, 0x00, 1, 1, 'g', 8, 1, 1, 'g', 0), // kind not in its shortest form
+		[]byte("rshb\x00\x01"),                                                 // retired envelope tag, no key length
+		[]byte("rshb\x00\x01\x05k"),                                            // retired envelope, key overruns payload
 		[]byte("raw log payload"),
 	} {
 		mustReject(raw)
@@ -255,13 +271,8 @@ func FuzzDecodeKVCommand(f *testing.F) {
 		if key != nil || rest != nil {
 			t.Fatalf("migration decoded with key %q and rest %q", key, rest)
 		}
-		first := encodeMigrate(*mig)
-		_, _, m2, ok := decodeKVCommand(first)
-		if !ok || m2 == nil {
-			t.Fatalf("re-encoded migration %q does not decode", first)
-		}
-		if second := encodeMigrate(*m2); !bytes.Equal(second, first) {
-			t.Fatalf("migration re-encoding unstable: %q then %q", first, second)
+		if again := encodeMigrate(*mig); !bytes.Equal(again, raw) {
+			t.Fatalf("migration %q re-encodes to %q", raw, again)
 		}
 	})
 }

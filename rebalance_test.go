@@ -257,9 +257,11 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 	}()
 
 	time.Sleep(50 * time.Millisecond) // let traffic build
+	began := time.Now()
 	if err := kv.AddShard(ctx, "shard-2"); err != nil {
 		t.Fatalf("AddShard under live traffic: %v", err)
 	}
+	handoff := time.Since(began)
 	time.Sleep(50 * time.Millisecond) // traffic on the new topology
 	close(stop)
 	wg.Wait()
@@ -281,7 +283,7 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 			t.Fatalf("committed key %q lives in %d groups, want exactly 1 (forked key)", key, homes)
 		}
 	}
-	t.Logf("rebalance under traffic: %d acked writes, stats %+v", len(acked), kv.Stats())
+	t.Logf("rebalance under traffic: AddShard took %v, %d acked writes, stats %+v", handoff, len(acked), kv.Stats())
 }
 
 // TestOwnershipGateRefusesMovedKey pins the gate that closes the

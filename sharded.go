@@ -3,10 +3,9 @@ package rdmaagreement
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,24 +93,14 @@ type ShardedStats struct {
 	Forwarded uint64
 }
 
-// migration is one in-flight AddShard/RemoveShard: the ring it is moving to
-// and the per-source handoff progress. done/ready are guarded by ShardedKV.mu
-// (route reads them); exports is touched only under rebalanceMu.
+// migration is one in-flight rebalance: the operation, as "AddShard(name)"
+// or "RemoveShard(name)", the ring it moves to under its version, and the
+// channel closed when that ring is published.
 type migration struct {
-	epoch   uint64
-	next    *shard.Ring
-	target  string                   // shard being added ("" for a removal)
-	removed string                   // shard being removed ("" for an addition)
-	done    map[string]bool          // ceding source → its range's handoff has committed
-	ready   map[string]chan struct{} // closed when the source's handoff commits
-	exports map[string]migrateResult // exported but not yet fully imported ranges
-}
-
-func (m *migration) describe() string {
-	if m.target != "" {
-		return fmt.Sprintf("AddShard(%s)", m.target)
-	}
-	return fmt.Sprintf("RemoveShard(%s)", m.removed)
+	op        string
+	version   uint64
+	next      *shard.Ring
+	handedOff chan struct{}
 }
 
 // ShardedKV is a crash-tolerant key-value store sharded over independent
@@ -128,8 +117,8 @@ func (m *migration) describe() string {
 //
 // The shard set is LIVE: AddShard and RemoveShard rebalance the ring under
 // traffic, draining each moved key range through the logs it leaves and
-// enters (a committed migrate-out in the ceding group, a committed migrate-in
-// in the receiving one) while the ownership gate in every group's machine
+// enters (a committed export in each ceding group, one committed import in
+// each receiving one) while the ownership gate in every group's machine
 // refuses writes and reads for keys the group has ceded — a refused operation
 // is retried against the new owner (ShardedStats.Forwarded), so a moving key
 // is never lost and never forked across groups.
@@ -141,12 +130,12 @@ type ShardedKV struct {
 	// instrumentation aggregates across shards for free.
 	metrics *metrics.Registry
 
-	mu       sync.RWMutex
-	ring     *shard.Ring         // guarded by mu
-	logs     map[string]*smr.Log // guarded by mu
-	mig      *migration          // guarded by mu
-	migEpoch uint64              // guarded by mu
-	closed   bool                // guarded by mu
+	mu      sync.RWMutex
+	ring    *shard.Ring         // guarded by mu
+	logs    map[string]*smr.Log // guarded by mu
+	mig     *migration          // guarded by mu
+	version uint64              // guarded by mu; the latest rebalance's ring version
+	closed  bool                // guarded by mu
 
 	// rebalanceMu serializes whole AddShard/RemoveShard operations.
 	rebalanceMu sync.Mutex
@@ -223,18 +212,20 @@ func (kv *ShardedKV) makeLog(name string) (*smr.Log, error) {
 	return smr.NewLog(logOpts)
 }
 
-// route resolves the group that currently serves key: by the authoritative
-// ring, except that a key whose range has completed its handoff mid-rebalance
-// already routes to its new owner. For a key whose range is still moving it
-// returns the (refusing-soon) old owner plus the channel closed when the
-// range's handoff commits — the forwarding loops wait on it before retrying.
+// route resolves the group that currently serves key: the owner under the
+// published ring. For a key a rebalance is moving it also returns the channel
+// closed when the rebalance publishes its ring — the forwarding loops wait on
+// it before retrying at the new owner.
 func (kv *ShardedKV) route(key string) (name string, l *smr.Log, handedOff <-chan struct{}, err error) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
 	if kv.closed {
 		return "", nil, nil, ErrLogClosed
 	}
-	name, handedOff = kv.ownerLocked(key)
+	name = kv.ring.Shard(key)
+	if kv.mig != nil && kv.mig.next.Shard(key) != name {
+		handedOff = kv.mig.handedOff
+	}
 	l, ok := kv.logs[name]
 	if !ok {
 		return "", nil, nil, fmt.Errorf("sharded kv: no shard for key %q", key)
@@ -242,8 +233,8 @@ func (kv *ShardedKV) route(key string) (name string, l *smr.Log, handedOff <-cha
 	return name, l, handedOff, nil
 }
 
-// forward handles one refused operation: count it, then wait for the moving
-// range's handoff to commit before the caller re-routes — bounded by ctx
+// forward handles one refused operation: count it, then wait for the
+// rebalance to publish its ring before the caller re-routes — bounded by ctx
 // and, when bound > 0, by that duration (the timer is created only here, on
 // the rare actually-waiting path, never on a hot read). A nil channel means
 // the routing view has already moved on — re-routing alone suffices.
@@ -302,27 +293,6 @@ func (kv *ShardedKV) withOwner(ctx context.Context, verb, key string, waitBound 
 func (kv *ShardedKV) rerouted(key, name string) bool {
 	newName, _, _, err := kv.route(key)
 	return err == nil && newName != name
-}
-
-// ownerLocked resolves the group that currently serves key — the
-// authoritative ring, except that a key whose range has completed its
-// mid-rebalance handoff already names its new owner. When the key's range is
-// still moving it additionally returns the channel closed when the handoff
-// commits. Callers must hold kv.mu (read or write).
-//
-//smrlint:holds mu
-func (kv *ShardedKV) ownerLocked(key string) (name string, handedOff <-chan struct{}) {
-	name = kv.ring.Shard(key)
-	if kv.mig != nil {
-		if next := kv.mig.next.Shard(key); next != name {
-			if kv.mig.done[name] {
-				name = next
-			} else {
-				handedOff = kv.mig.ready[name]
-			}
-		}
-	}
-	return name, handedOff
 }
 
 // Put replicates key=value through the owning shard's log and returns the
@@ -415,30 +385,30 @@ func (kv *ShardedKV) get(ctx context.Context, verb, key string, waitBound time.D
 
 // AddShard grows the store by one group under live traffic: it builds the
 // new group, computes the key ranges that move to it (an expected 1/(S+1)
-// fraction, per consistent hashing's minimal movement), and drains each
-// ceding group through its own log — a committed migrate-out carves the moved
-// sub-state out of the source (after a Barrier so the export covers every
-// write routed there before the rebalance began) and a committed migrate-in
-// merges it into the new group. From the moment a source's cede commits, its
-// machine refuses operations on the moved keys; the store retries them
-// against the new owner once the range's import commits, so no write is
-// lost, no key is served by two groups, and no downtime is taken.
+// fraction, per consistent hashing's minimal movement), and drains them
+// through the logs they leave and enter: each ceding group commits an export
+// (after a Barrier, so it covers every write routed there before the
+// rebalance began), then the new group commits one import of every export.
+// From the moment a group's export commits, its machine refuses operations on
+// the moved keys; the store retries them against the new owner once the new
+// ring is published, right after the import, so no write is lost, no key is
+// served by two groups, and no downtime is taken.
 //
 // Adding an existing shard is a no-op, and a name that is not valid UTF-8
 // is refused with ErrInvalidConfig before anything commits. If AddShard
-// fails partway (context expired, a group halted), the moved ranges whose
-// cede committed stay unavailable until AddShard is called again with the
-// same name — it resumes the interrupted handoffs idempotently (duplicate
-// migration commands replay or no-op by epoch). A rebalance for a different
-// shard cannot start until then (ErrRebalanceInProgress).
+// fails partway (context expired, a group halted), the keys whose export
+// committed stay unavailable until AddShard is called again with the same
+// name — it resumes the rebalance under the same version, whose commands
+// apply at most once. A rebalance for a different shard cannot start until
+// then (ErrRebalanceInProgress).
 func (kv *ShardedKV) AddShard(ctx context.Context, name string) error {
 	return kv.rebalanceShards(ctx, name, "")
 }
 
 // RemoveShard shrinks the store by one group under live traffic: the removed
-// group's whole key space is exported through its log and fanned out to every
-// surviving group (each merges exactly the keys the new ring routes to it),
-// after which the group's log is closed. Removing an unknown shard is a
+// group exports its whole key space through its log, every surviving group
+// commits one import of it (each merges exactly the keys the new ring routes
+// to it), and then the group's log is closed. Removing an unknown shard is a
 // no-op; removing the last shard is an error. Name checks, failure and
 // resume semantics match AddShard.
 func (kv *ShardedKV) RemoveShard(ctx context.Context, name string) error {
@@ -446,26 +416,29 @@ func (kv *ShardedKV) RemoveShard(ctx context.Context, name string) error {
 }
 
 func (kv *ShardedKV) rebalanceShards(ctx context.Context, add, remove string) error {
-	// The ring travels to the groups inside JSON migrate commands, which
-	// would rewrite a name that is not valid UTF-8: the cede would commit,
-	// then every import would be refused as built for another group.
+	// GET /v1/ring serves the shard names as JSON, which would rewrite a name
+	// that is not valid UTF-8: a client's mirrored ring would then route
+	// differently from the store's.
 	if name := add + remove; !utf8.ValidString(name) {
 		return fmt.Errorf("sharded kv: shard name %q: %w: not valid UTF-8", name, types.ErrInvalidConfig)
+	}
+	op := "AddShard(" + add + ")"
+	if remove != "" {
+		op = "RemoveShard(" + remove + ")"
 	}
 	kv.rebalanceMu.Lock()
 	defer kv.rebalanceMu.Unlock()
 
 	kv.mu.RLock()
-	closed, mig := kv.closed, kv.mig
+	closed, mig, ring := kv.closed, kv.mig, kv.ring
 	_, addExists := kv.logs[add]
 	_, removeExists := kv.logs[remove]
-	size := kv.ring.Size()
 	kv.mu.RUnlock()
 	if closed {
 		return fmt.Errorf("sharded kv: rebalance: %w", ErrLogClosed)
 	}
-	if mig != nil && (mig.target != add || mig.removed != remove) {
-		return fmt.Errorf("%w: %s", ErrRebalanceInProgress, mig.describe())
+	if mig != nil && mig.op != op {
+		return fmt.Errorf("%w: %s", ErrRebalanceInProgress, mig.op)
 	}
 	if mig == nil {
 		switch {
@@ -473,7 +446,7 @@ func (kv *ShardedKV) rebalanceShards(ctx context.Context, add, remove string) er
 			return nil // already a member
 		case remove != "" && !removeExists:
 			return nil // already gone
-		case remove != "" && size <= 1:
+		case remove != "" && ring.Size() <= 1:
 			return fmt.Errorf("sharded kv: cannot remove the last shard %q", remove)
 		}
 		var addLog *smr.Log
@@ -497,19 +470,8 @@ func (kv *ShardedKV) rebalanceShards(ctx context.Context, add, remove string) er
 		} else {
 			next.Remove(remove)
 		}
-		kv.migEpoch++
-		mig = &migration{
-			epoch:   kv.migEpoch,
-			next:    next,
-			target:  add,
-			removed: remove,
-			done:    make(map[string]bool),
-			ready:   make(map[string]chan struct{}),
-			exports: make(map[string]migrateResult),
-		}
-		for _, src := range shard.Ceders(kv.ring, next) {
-			mig.ready[src] = make(chan struct{})
-		}
+		kv.version++
+		mig = &migration{op: op, version: kv.version, next: next, handedOff: make(chan struct{})}
 		if addLog != nil {
 			kv.logs[add] = addLog
 		}
@@ -517,144 +479,99 @@ func (kv *ShardedKV) rebalanceShards(ctx context.Context, add, remove string) er
 		kv.mu.Unlock()
 	}
 
-	// Drain each still-pending source, in stable order.
-	sources := make([]string, 0, len(mig.ready))
-	for src := range mig.ready {
-		sources = append(sources, src)
-	}
-	sort.Strings(sources)
-	for _, src := range sources {
-		kv.mu.RLock()
-		done := mig.done[src]
-		kv.mu.RUnlock()
-		if done {
-			continue
-		}
-		if err := kv.handoff(ctx, mig, src); err != nil {
-			return err
+	// Export from every ceder, in stable order. A resumed rebalance exports
+	// again: a duplicate export answers what the first one did.
+	ceders := shard.Ceders(ring, mig.next)
+	exports := make([][]byte, len(ceders))
+	for i, src := range ceders {
+		var err error
+		if exports[i], err = kv.commitMigrate(ctx, mig, exportKind, src, nil); err != nil {
+			return fmt.Errorf("sharded kv: migrate out of %s: %w", src, err)
 		}
 	}
 
-	// Every range handed off: publish the new ring and retire the migration.
+	// The exports are committed: the moved keys are served nowhere until the
+	// imports commit. Run the imports under a detached context so the
+	// caller's cancellation cannot strand them.
+	ictx, cancel := context.WithTimeout(context.Background(), importTimeout)
+	defer cancel()
+	receivers := []string{add}
+	if add == "" {
+		receivers = mig.next.Shards() // a removal fans out to every survivor
+	}
+	for _, dest := range receivers {
+		resp, err := kv.commitMigrate(ictx, mig, importKind, dest, exports)
+		if err != nil {
+			return fmt.Errorf("sharded kv: import into %s: %w (moved keys unavailable until the rebalance is retried to completion)", dest, err)
+		}
+		keys, _ := binary.Uvarint(resp)
+		kv.migrated.Add(keys)
+	}
+
+	// Every import is committed: publish the new ring, which moves routing
+	// and releases every forwarded operation at once.
 	kv.mu.Lock()
 	kv.ring = mig.next
 	kv.mig = nil
-	var closing *smr.Log
-	if remove != "" {
-		closing = kv.logs[remove]
-		delete(kv.logs, remove)
-	}
+	close(mig.handedOff)
+	closing := kv.logs[remove]
+	delete(kv.logs, remove)
 	kv.mu.Unlock()
 	kv.rebalances.Add(1)
 	if closing != nil {
 		closing.Close()
 	}
+
+	// Tell each ceder it may drop its ceded keys — best-effort: a lost ack
+	// leaves them in its state until its next rebalance drops them. The
+	// removed group's log is closed already.
+	for _, src := range ceders {
+		if src != remove {
+			_, _ = kv.commitMigrate(ictx, mig, ackKind, src, nil)
+		}
+	}
 	return nil
 }
 
-// importTimeout bounds the import half of a handoff, which runs detached from
-// the caller's context: once a source has committed its cede, cancelling the
-// caller must not strand the exported range in limbo.
+// importTimeout bounds the imports and acks of a rebalance, which run
+// detached from the caller's context: once a source has committed its
+// export, cancelling the caller must not strand the exported keys in limbo.
 const importTimeout = 10 * time.Minute
 
-// handoff drains one ceding group's moved ranges: barrier, committed export,
-// committed import(s), then mark the range as handed off so routing moves and
-// forwarded operations retry.
-func (kv *ShardedKV) handoff(ctx context.Context, mig *migration, src string) error {
+// commitMigrate commits one of mig's commands in group's log, records it in
+// the group's trace recorder (LogOptions.Cluster.Recorder) and returns its
+// response. An export first flushes the group's queue with a Barrier, so it
+// commits strictly after every write routed there before the rebalance
+// began. A command displaced by a lease takeover is re-proposed:
+// ErrLeaseLost's contract is that it provably did not commit, so
+// re-proposing cannot double-apply (and a migrate command applies at most
+// once per version anyway).
+func (kv *ShardedKV) commitMigrate(ctx context.Context, mig *migration, kind migrateKind, group string, exports [][]byte) ([]byte, error) {
 	kv.mu.RLock()
-	srcLog := kv.logs[src]
+	l := kv.logs[group]
 	kv.mu.RUnlock()
-	if srcLog == nil {
-		return fmt.Errorf("sharded kv: ceding shard %s has no log", src)
+	if l == nil {
+		return nil, fmt.Errorf("shard %s has no log", group)
 	}
-
-	res, exported := mig.exports[src]
-	if !exported {
-		// Flush the source's queue first so the export commits strictly after
-		// every write routed there before the rebalance began.
-		if _, err := srcLog.Barrier(ctx); err != nil {
-			return fmt.Errorf("sharded kv: barrier before migrating out of %s: %w", src, err)
+	if kind == exportKind {
+		if _, err := l.Barrier(ctx); err != nil {
+			return nil, err
 		}
-		out := encodeMigrate(migrateCmd{
-			Out: true, Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(), Group: src,
-		})
-		_, resp, err := proposeRetry(ctx, srcLog, out)
-		if err != nil {
-			return fmt.Errorf("sharded kv: migrate out of %s: %w", src, err)
-		}
-		if err := json.Unmarshal(resp, &res); err != nil {
-			return fmt.Errorf("sharded kv: migrate out of %s: decode result: %w", src, err)
-		}
-		mig.exports[src] = res
-		traceMigrate(srcLog, "migrate-out committed in %s: %d keys ceded (epoch %d)", src, res.Keys, mig.epoch)
 	}
-
-	// The cede is committed: the moved range exists only in res now. Run the
-	// imports under a detached context so the caller's cancellation cannot
-	// strand it.
-	ictx, cancel := context.WithTimeout(context.Background(), importTimeout)
-	defer cancel()
-	dests := []string{mig.target}
-	if mig.target == "" {
-		dests = mig.next.Shards() // a removal fans out to every survivor
-	}
-	for _, dest := range dests {
-		kv.mu.RLock()
-		destLog := kv.logs[dest]
-		kv.mu.RUnlock()
-		if destLog == nil {
-			return fmt.Errorf("sharded kv: import destination %s has no log", dest)
-		}
-		in := encodeMigrate(migrateCmd{
-			Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(),
-			Group: dest, Source: src, Data: res.Data,
-		})
-		_, resp, err := proposeRetry(ictx, destLog, in)
-		if err != nil {
-			return fmt.Errorf("sharded kv: import %s's range into %s: %w (range unavailable until the rebalance is retried to completion)", src, dest, err)
-		}
-		var ires migrateResult
-		if err := json.Unmarshal(resp, &ires); err != nil {
-			return fmt.Errorf("sharded kv: import into %s: decode result: %w", dest, err)
-		}
-		kv.migrated.Add(uint64(ires.Keys))
-		traceMigrate(destLog, "migrate-in committed in %s: %d keys merged from %s (epoch %d)", dest, ires.Keys, src, mig.epoch)
-	}
-
-	// Every import is committed: tell the source it may drop its export
-	// outbox (best-effort — the ack only bounds memory; a lost ack leaves
-	// the outbox until the next rebalance). A group being removed skips it:
-	// its log closes in a moment anyway.
-	if src != mig.removed {
-		_, _, _ = proposeRetry(ictx, srcLog, encodeMigrate(migrateCmd{
-			Ack: true, Epoch: mig.epoch, Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(), Group: src,
-		}))
-	}
-
-	delete(mig.exports, src)
-	kv.mu.Lock()
-	mig.done[src] = true
-	close(mig.ready[src])
-	kv.mu.Unlock()
-	return nil
-}
-
-// traceMigrate records one leg of a shard handoff into the group's trace
-// recorder (LogOptions.Cluster.Recorder). Nil-safe like every Recorder call.
-func traceMigrate(l *smr.Log, format string, args ...any) {
-	c := l.Cluster()
-	c.Opts.Recorder.Record(c.LeaseHolder(), trace.KindShardMigrate, nil, 0, format, args...)
-}
-
-// proposeRetry re-proposes a migration command displaced by a lease takeover:
-// ErrLeaseLost's contract is that the command provably did not commit, so
-// re-proposing cannot double-apply (and migration commands are additionally
-// idempotent by epoch).
-func proposeRetry(ctx context.Context, l *smr.Log, cmd []byte) (uint64, []byte, error) {
+	cmd := encodeMigrate(migrateCmd{
+		Kind: kind, Version: mig.version, Group: group,
+		Shards: mig.next.Shards(), VNodes: mig.next.VirtualNodes(), Exports: exports,
+	})
 	for {
-		index, resp, err := l.Propose(ctx, cmd)
+		_, resp, err := l.Propose(ctx, cmd)
+		if err == nil {
+			keys, _ := binary.Uvarint(resp)
+			c := l.Cluster()
+			c.Opts.Recorder.Record(c.LeaseHolder(), trace.KindShardMigrate, nil, 0,
+				"%s committed in %s: %d keys (version %d)", [...]string{"export", "import", "ack"}[kind], group, keys, mig.version)
+		}
 		if err == nil || !errors.Is(err, ErrLeaseLost) {
-			return index, resp, err
+			return resp, err
 		}
 	}
 }
@@ -663,14 +580,12 @@ func proposeRetry(ctx context.Context, l *smr.Log, cmd []byte) (uint64, []byte, 
 // skipped because they did not carry a wire tag.
 func (kv *ShardedKV) ForeignEntries() int64 { return kv.foreign.Load() }
 
-// Shard returns the name of the shard that currently serves key (mid-
-// rebalance, a key whose range has completed its handoff already names its
-// new owner).
+// Shard returns the name of the shard that currently serves key: its owner
+// under the published ring.
 func (kv *ShardedKV) Shard(key string) string {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	name, _ := kv.ownerLocked(key)
-	return name
+	return kv.ring.Shard(key)
 }
 
 // ShardLog returns the replicated log behind the named shard (for fault
