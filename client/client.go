@@ -22,8 +22,6 @@
 // Connections are pooled (one shared http.Transport with generous per-host
 // idle limits) so a closed-loop workload reuses sockets instead of
 // re-dialing per request.
-//
-//smrlint:wire consumer
 package client
 
 import (

@@ -7,8 +7,8 @@
 //
 // Only the subset smrlint needs is implemented: single-pass analyzers over a
 // typechecked package, position-based diagnostics, and gob-serializable
-// object facts on package-level objects (the cross-package channel wireclosed
-// uses to see the wire taxonomy's classification from client and kvserver).
+// object facts on package-level objects (the cross-package channel applydet
+// uses to see that a function another package exports is nondeterministic).
 package analysis
 
 import (

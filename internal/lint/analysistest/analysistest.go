@@ -5,7 +5,7 @@
 //
 // Fixtures live under testdata/src/<importpath>/. A Run call may name several
 // fixture packages; they are typechecked and analyzed in the given order with
-// a shared fact store, so cross-package analyzers (wireclosed) can be tested
+// a shared fact store, so cross-package analyzers (applydet) can be tested
 // end to end: list the fact-exporting package first, its importer second.
 // Standard-library imports in fixtures resolve through build-cache export
 // data via the go command.

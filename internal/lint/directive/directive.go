@@ -1,13 +1,10 @@
 // Package directive parses the //smrlint:* comment vocabulary shared by the
 // analyzers and the drivers:
 //
-//	//smrlint:noalloc                 — function must avoid allocating constructs
-//	//smrlint:deterministic           — function is an extra applydet root
-//	//smrlint:holds mu                — function runs with the receiver's mu held
-//	//smrlint:wire store|admission|anonymous — classify one wire code const
-//	//smrlint:wire taxonomy|producer|consumer — classify a package's wire role
-//	//smrlint:ignore <analyzer> <reason>      — suppress one finding, reason required
-//	// guarded by mu                  — field is protected by the sibling mutex mu
+//	//smrlint:deterministic              — function is an extra applydet root
+//	//smrlint:holds mu                   — function runs with the receiver's mu held
+//	//smrlint:ignore <analyzer> <reason> — suppress one finding, reason required
+//	// guarded by mu                     — field is protected by the sibling mutex mu
 package directive
 
 import (

@@ -38,13 +38,9 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//smrlint:noalloc
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-//
-//smrlint:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
@@ -62,8 +58,6 @@ type Gauge struct {
 }
 
 // Add moves the gauge by delta and updates the high-water mark.
-//
-//smrlint:noalloc
 func (g *Gauge) Add(delta int64) {
 	v := g.v.Add(delta)
 	for {
@@ -119,8 +113,6 @@ func NewHistogram(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one value. Negative durations clamp to zero.
-//
-//smrlint:noalloc
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)
 	if v < 0 {

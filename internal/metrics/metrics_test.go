@@ -139,14 +139,17 @@ func TestHistogramRejectsBadBounds(t *testing.T) {
 	NewHistogram([]time.Duration{2 * time.Millisecond, time.Millisecond})
 }
 
-// TestZeroAllocRecordPath is the satellite allocation gate: the record path
-// of every instrument must not allocate.
+// TestZeroAllocRecordPath is the allocation gate of the record path: no
+// instrument's record method may allocate.
 func TestZeroAllocRecordPath(t *testing.T) {
 	var c Counter
 	var g Gauge
 	h := NewHistogram(nil)
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
+		t.Fatalf("Counter.Inc allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Add(1); g.Add(-1) }); n != 0 {
 		t.Fatalf("Gauge.Add allocates %v/op", n)

@@ -18,6 +18,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,6 +147,7 @@ type Network struct {
 
 	mu        sync.RWMutex
 	endpoints map[types.ProcID]*Endpoint
+	procs     []types.ProcID // the endpoints' IDs, sorted; replaced, never mutated
 	links     map[linkKey]*link
 	crashed   types.ProcSet
 	partition map[types.ProcID]int // partition group per process; all zero = connected
@@ -202,19 +204,19 @@ func (n *Network) Register(p types.ProcID) *Endpoint {
 	}
 	ep := &Endpoint{id: p, inbox: make(chan Message, inboxCapacity), net: n}
 	n.endpoints[p] = ep
+	procs := append(slices.Clone(n.procs), p)
+	slices.Sort(procs)
+	n.procs = procs
 	return ep
 }
 
 // Processes returns the identifiers of all registered processes in sorted
-// order.
+// order. The slice is shared with the network and later calls: callers must
+// not modify it.
 func (n *Network) Processes() []types.ProcID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	set := types.NewProcSet()
-	for p := range n.endpoints {
-		set = set.Add(p)
-	}
-	return set.Members()
+	return n.procs
 }
 
 // SetTap installs a message tap (nil removes it).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -266,6 +267,27 @@ func TestRegisterIdempotent(t *testing.T) {
 	}
 	if len(n.Processes()) != 1 {
 		t.Fatalf("Processes() = %v", n.Processes())
+	}
+}
+
+// TestProcessesSortedAndAllocFree pins the membership Broadcast ranges over
+// on every send: sorted whatever the registration order, a snapshot that a
+// later Register does not change, and read without allocating.
+func TestProcessesSortedAndAllocFree(t *testing.T) {
+	n := newTestNetwork(t, Options{})
+	for _, p := range []types.ProcID{3, 1, 2} {
+		n.Register(p)
+	}
+	before := n.Processes()
+	if !slices.Equal(before, []types.ProcID{1, 2, 3}) {
+		t.Fatalf("Processes() = %v, want [p1 p2 p3]", before)
+	}
+	n.Register(4)
+	if got := n.Processes(); !slices.Equal(got, []types.ProcID{1, 2, 3, 4}) || !slices.Equal(before, []types.ProcID{1, 2, 3}) {
+		t.Fatalf("after Register(4): Processes() = %v, earlier snapshot = %v", got, before)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = n.Processes() }); allocs != 0 {
+		t.Fatalf("Processes() allocates %v per call, want 0", allocs)
 	}
 }
 

@@ -32,8 +32,6 @@ var batchMagic = []byte("rbat\x00\x01")
 // appendBatch appends the binary framing of (origin, ids, cmds) to dst. The
 // two slices must be the same length; callers that encode straight from a
 // []queued batch use encodeBatchFrom instead.
-//
-//smrlint:noalloc
 func appendBatch(dst []byte, origin uint64, ids []uint64, cmds [][]byte) []byte {
 	dst = append(dst, batchMagic...)
 	dst = binary.AppendUvarint(dst, origin)
@@ -47,8 +45,6 @@ func appendBatch(dst []byte, origin uint64, ids []uint64, cmds [][]byte) []byte 
 }
 
 // batchSize is the exact encoded size, so encode allocates once, right-sized.
-//
-//smrlint:noalloc
 func batchSize(origin uint64, ids []uint64, cmds [][]byte) int {
 	n := len(batchMagic) + uvarintLen(origin) + uvarintLen(uint64(len(cmds)))
 	for i, cmd := range cmds {
@@ -57,7 +53,6 @@ func batchSize(origin uint64, ids []uint64, cmds [][]byte) int {
 	return n
 }
 
-//smrlint:noalloc
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -70,8 +65,6 @@ func uvarintLen(v uint64) int {
 // encode emits the binary framing. The returned value is retained by the
 // protocol substrate and the log's slot window, so it is a fresh allocation,
 // not a pooled buffer.
-//
-//smrlint:noalloc
 func (b wireBatch) encode() types.Value {
 	return appendBatch(make([]byte, 0, batchSize(b.Origin, b.IDs, b.Cmds)), b.Origin, b.IDs, b.Cmds)
 }
@@ -79,8 +72,6 @@ func (b wireBatch) encode() types.Value {
 // encodeBatchFrom builds a slot value straight from a dispatched batch:
 // barriers contribute nothing to the value and are skipped in place, so the
 // hot path never materializes intermediate id/cmd slices.
-//
-//smrlint:noalloc
 func encodeBatchFrom(origin uint64, batch []queued) types.Value {
 	n := len(batchMagic) + uvarintLen(origin)
 	cmds := 0
@@ -113,7 +104,6 @@ var batchPool = sync.Pool{New: func() any { return new(wireBatch) }}
 
 func borrowBatch() *wireBatch { return batchPool.Get().(*wireBatch) }
 
-//smrlint:noalloc
 func releaseBatch(b *wireBatch) {
 	b.Origin = 0
 	b.IDs = b.IDs[:0]
@@ -129,8 +119,6 @@ func releaseBatch(b *wireBatch) {
 // framing, overlong counts — is an error, never a panic: decided values
 // normally always decode, but the fuzz harness (and a hostile raw Propose)
 // feeds this arbitrary bytes.
-//
-//smrlint:noalloc
 func decodeBatchInto(b *wireBatch, raw types.Value) error {
 	if !bytes.HasPrefix(raw, batchMagic) {
 		return fmt.Errorf("decode batch: missing batch magic")
@@ -138,7 +126,6 @@ func decodeBatchInto(b *wireBatch, raw types.Value) error {
 	return decodeBinaryInto(b, raw[len(batchMagic):])
 }
 
-//smrlint:noalloc
 func decodeBinaryInto(b *wireBatch, rest []byte) error {
 	origin, n := binary.Uvarint(rest)
 	if n <= 0 {
@@ -195,8 +182,6 @@ func decodeBatch(raw types.Value) (wireBatch, error) {
 // peekOrigin reads a decided value's origin tag with a header parse, without
 // materializing the batch. The dispatcher uses it at result-receipt time to
 // tell won from displaced before the slot reaches the applier.
-//
-//smrlint:noalloc
 func peekOrigin(raw types.Value) (uint64, error) {
 	if !bytes.HasPrefix(raw, batchMagic) {
 		return 0, fmt.Errorf("decode batch: missing batch magic")

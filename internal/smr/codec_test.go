@@ -55,6 +55,73 @@ func TestCodecPoolReuse(t *testing.T) {
 	}
 }
 
+// Sinks keep the measured calls' results alive, so the compiler cannot drop
+// the work TestCodecAllocs measures.
+var (
+	sinkInt    int
+	sinkOrigin uint64
+	sinkValue  []byte
+	sinkErr    error
+)
+
+// TestCodecAllocs pins the heap allocations of every codec function on its
+// steady-state path. The encoders that return a value allocate it once,
+// right-sized; everything else, decoding into a reused envelope included,
+// allocates nothing. Error returns are not measured.
+func TestCodecAllocs(t *testing.T) {
+	b := wireBatch{
+		Origin: 1 << 40,
+		IDs:    []uint64{7, 1 << 33, 9},
+		Cmds:   [][]byte{bytes.Repeat([]byte("a"), 64), {}, bytes.Repeat([]byte("b"), 300)},
+	}
+	raw := b.encode()
+	batch := []queued{{id: 7, cmd: b.Cmds[0]}, {barrier: true}, {id: 1 << 33, cmd: b.Cmds[1]}, {id: 9, cmd: b.Cmds[2]}}
+	dst := make([]byte, 0, len(raw))
+	var into wireBatch
+	if err := decodeBatchInto(&into, raw); err != nil { // sizes the envelope
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"appendBatch", 0, func() { sinkValue = appendBatch(dst[:0], b.Origin, b.IDs, b.Cmds) }},
+		{"batchSize", 0, func() { sinkInt = batchSize(b.Origin, b.IDs, b.Cmds) }},
+		{"uvarintLen", 0, func() { sinkInt = uvarintLen(1 << 63) }},
+		{"wireBatch.encode", 1, func() { sinkValue = b.encode() }},
+		{"encodeBatchFrom", 1, func() { sinkValue = encodeBatchFrom(b.Origin, batch) }},
+		{"decodeBatchInto", 0, func() { sinkErr = decodeBatchInto(&into, raw) }},
+		{"decodeBinaryInto", 0, func() { sinkErr = decodeBinaryInto(&into, raw[len(batchMagic):]) }},
+		{"peekOrigin", 0, func() { sinkOrigin, sinkErr = peekOrigin(raw) }},
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want || sinkErr != nil {
+			t.Errorf("%s: %v allocs per call (err %v), want %v", tc.name, got, sinkErr, tc.want)
+		}
+	}
+	if !bytes.Equal(encodeBatchFrom(b.Origin, batch), raw) {
+		t.Fatal("encodeBatchFrom and encode disagree")
+	}
+
+	// releaseBatch returns the envelope to batchPool. The envelopes are
+	// borrowed before measuring: under the race detector Get misses at
+	// random, and a miss allocates.
+	const runs = 100
+	envelopes := make([]*wireBatch, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range envelopes {
+		envelopes[i] = borrowBatch()
+		if err := decodeBatchInto(envelopes[i], raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	release := func() { releaseBatch(envelopes[next]); next++ }
+	if got := testing.AllocsPerRun(runs, release); got != 0 {
+		t.Errorf("releaseBatch: %v allocs per call, want 0", got)
+	}
+}
+
 // FuzzDecodeBatch feeds the decoder arbitrary bytes. Whatever comes in —
 // valid binary framing, truncated headers, hostile counts, garbage — it must
 // never panic, and anything it accepts must re-encode to a value that decodes

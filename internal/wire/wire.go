@@ -12,11 +12,11 @@
 // codes and different client behavior — which is why every error response
 // has a JSON body.
 //
-// The wireclosed analyzer (cmd/smrlint) checks the taxonomy's closure: every
-// code carries a //smrlint:wire class marker and each class's obligations
-// (Sentinel case, FromError production, Retryable membership) are enforced.
-//
-//smrlint:wire taxonomy
+// The taxonomy's closure is checked by this package's tests: every code is
+// in the class table of TestTaxonomyIsClassified (store, admission or
+// anonymous), TestTaxonomyRoundTrip carries each one from its producer to a
+// client decode and checks its class's Sentinel and Retryable obligations,
+// and TestCodesAreNamedNotSpelt refuses a code's value spelt as a literal.
 package wire
 
 import (
@@ -35,46 +35,35 @@ const (
 	// CodeKeyMoved: the key's range is owned by another shard (ErrKeyMoved);
 	// the Owner field names it when the refusing server knows. Retryable —
 	// ideally at the owner's endpoint.
-	//smrlint:wire store
 	CodeKeyMoved = "key_moved"
 	// CodeLeaseLost: the command was displaced by a leadership change without
 	// committing (ErrLeaseLost); provably safe to resubmit. Retryable.
-	//smrlint:wire store
 	CodeLeaseLost = "lease_lost"
 	// CodeOverloaded: the server shed the request to protect itself (global
 	// in-flight bound exceeded). Retryable after the Retry-After hint.
-	//smrlint:wire admission
 	CodeOverloaded = "overloaded"
 	// CodeConnBusy: this connection exceeded its per-connection in-flight
 	// bound; the rest of the server may be fine. Retryable.
-	//smrlint:wire admission
 	CodeConnBusy = "conn_busy"
 	// CodeDraining: the server is shutting down gracefully; in-flight
 	// requests finish but new ones are refused. Retryable elsewhere.
-	//smrlint:wire admission
 	CodeDraining = "draining"
 	// CodeRebalanceInProgress: a different rebalance is still incomplete
 	// (ErrRebalanceInProgress). Not retryable blindly; the pending rebalance
 	// must be retried to completion first.
-	//smrlint:wire store
 	CodeRebalanceInProgress = "rebalance_in_progress"
 	// CodeClosed: the store is closed (ErrLogClosed). Terminal here.
-	//smrlint:wire store
 	CodeClosed = "closed"
 	// CodeHalted: a shard group halted on an unresolvable slot
 	// (ErrLogHalted). Terminal.
-	//smrlint:wire store
 	CodeHalted = "halted"
 	// CodeDeadline: the request's deadline or cancellation fired inside the
 	// store (context.DeadlineExceeded / Canceled).
-	//smrlint:wire anonymous
 	CodeDeadline = "deadline"
 	// CodeBadRequest: malformed request (empty key, undecodable body, an
 	// invalid shard name).
-	//smrlint:wire anonymous
 	CodeBadRequest = "bad_request"
 	// CodeInternal: anything the taxonomy does not name.
-	//smrlint:wire anonymous
 	CodeInternal = "internal"
 )
 

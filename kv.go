@@ -38,7 +38,6 @@ var migrateMagic = []byte("rshd\x00\x02")
 // proposer is told explicitly.
 var ErrForeignCommand = errors.New("kv: committed entry is not a tagged KV command")
 
-//smrlint:noalloc
 func encodeKVCommand(key, value string) []byte {
 	out := make([]byte, 0, len(kvMagic)+binary.MaxVarintLen64+len(key)+len(value))
 	out = append(out, kvMagic...)
@@ -81,8 +80,6 @@ func decodeKVCommand(raw []byte) (key, rest []byte, mig *migrateCmd, ok bool) {
 // encodeKVResult is the machine's response to writes (the key's previous
 // value) and queries (the key's current value): one found byte, 0 or 1, plus
 // the value bytes.
-//
-//smrlint:noalloc
 func encodeKVResult(found bool, value string) []byte {
 	out := make([]byte, 1, 1+len(value))
 	if found {

@@ -365,3 +365,20 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// sinkKV keeps TestKVCodecAllocs's results alive.
+var sinkKV []byte
+
+// TestKVCodecAllocs pins the KV command and result encoders at one
+// allocation per call: the right-sized frame they return, and nothing else.
+func TestKVCodecAllocs(t *testing.T) {
+	key, value := string(bytes.Repeat([]byte("k"), 40)), string(bytes.Repeat([]byte("v"), 200))
+	for name, fn := range map[string]func(){
+		"encodeKVCommand": func() { sinkKV = encodeKVCommand(key, value) },
+		"encodeKVResult":  func() { sinkKV = encodeKVResult(true, value) },
+	} {
+		if got := testing.AllocsPerRun(100, fn); got != 1 {
+			t.Errorf("%s: %v allocs per call, want 1", name, got)
+		}
+	}
+}

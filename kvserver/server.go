@@ -24,8 +24,6 @@
 //
 // Backpressure: only the data path (/v1/kv/) is shed — admin, ring, stats
 // and metrics stay reachable exactly when an operator needs them most.
-//
-//smrlint:wire producer
 package kvserver
 
 import (
