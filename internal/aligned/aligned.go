@@ -449,8 +449,12 @@ func (n *Node) phase(ctx context.Context, ballot types.ProposalNumber, value typ
 }
 
 // memoryAgent performs one memory's share of a phase: write our slot with the
-// ballot (and value in phase 2), and in phase 1 read every slot to learn
-// previously accepted values and detect higher ballots.
+// ballot (and value in phase 2), then read every slot to detect a higher
+// ballot and, in phase 1, to learn previously accepted values. A memory has
+// no acceptor to refuse a stale phase-2 write, so the read after it is what
+// makes the memory refuse it: a proposer with a higher ballot either wrote
+// it here first, and this read sees it, or reads this write in its own
+// phase 1 (Disk Paxos's argument, per memory).
 func (n *Node) memoryAgent(ctx context.Context, mem *memsim.Memory, ballot types.ProposalNumber, value types.Value, isPhase1 bool) response {
 	invoked := n.cfg.Clock.Now()
 	s := slot{MinProposal: ballot}
@@ -466,10 +470,6 @@ func (n *Node) memoryAgent(ctx context.Context, mem *memsim.Memory, ballot types
 		return response{ballot: ballot, ok: false}
 	}
 	n.cfg.Clock.Merge(stamp)
-	if !isPhase1 {
-		return response{ballot: ballot, ok: true}
-	}
-
 	best := response{ballot: ballot, ok: true}
 	for _, q := range n.cfg.Procs {
 		raw, rstamp, rerr := mem.Read(ctx, n.cfg.Self, Region, slotRegister(q), stamp)

@@ -122,9 +122,12 @@ func (o *Options) applyDefaults(protocol Protocol) {
 	}
 	if o.FaultyProcesses <= 0 {
 		switch protocol {
-		case ProtocolProtectedMemoryPaxos, ProtocolDiskPaxos, ProtocolAlignedPaxos:
+		case ProtocolProtectedMemoryPaxos, ProtocolDiskPaxos:
 			// These protocols tolerate n-1 process crashes.
 			o.FaultyProcesses = o.Processes - 1
+		case ProtocolAlignedPaxos:
+			// A minority of the n+m agents may crash, f_M memories of them.
+			o.FaultyProcesses = max((o.Processes+o.Memories-1)/2-o.FaultyMemories, 0)
 		default:
 			o.FaultyProcesses = (o.Processes - 1) / 2
 		}

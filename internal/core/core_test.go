@@ -125,6 +125,13 @@ func TestOptionsDefaults(t *testing.T) {
 	if crash.FaultyProcesses != 3 || crash.FaultyMemories != 2 {
 		t.Fatalf("crash-protocol defaults wrong: %+v", crash)
 	}
+	// Aligned Paxos tolerates a minority of the n+m agents, f_M of them
+	// memories: ⌊(5+3−1)/2⌋ − 1 = 2 processes.
+	agents := Options{Processes: 5, Memories: 3}
+	agents.applyDefaults(ProtocolAlignedPaxos)
+	if agents.FaultyProcesses != 2 || agents.FaultyMemories != 1 {
+		t.Fatalf("aligned-paxos defaults wrong: %+v", agents)
+	}
 }
 
 func TestReleaseInstanceFreesSlotRegions(t *testing.T) {

@@ -67,35 +67,6 @@ func TestFallbackWhenAcceptorSilent(t *testing.T) {
 	}
 }
 
-func TestConcurrentProposersAgree(t *testing.T) {
-	f := newFixture(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	type result struct {
-		out Outcome
-		err error
-	}
-	results := make(chan result, 2)
-	for _, p := range []types.ProcID{1, 2} {
-		go func(p types.ProcID) {
-			out, err := f.nodes[p].Propose(ctx, types.Value("value-"+p.String()))
-			results <- result{out: out, err: err}
-		}(p)
-	}
-	var decisions []types.Value
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err != nil {
-			t.Fatalf("Propose: %v", r.err)
-		}
-		decisions = append(decisions, r.out.Value)
-	}
-	if !decisions[0].Equal(decisions[1]) {
-		t.Fatalf("agreement violated: %v vs %v", decisions[0], decisions[1])
-	}
-}
-
 // newFixture builds the fixture with a single subscription
 // covering both fast-round message kinds (propose and ack).
 func newFixture(t *testing.T, n int) *fixture {

@@ -2,8 +2,6 @@ package paxos
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -96,49 +94,6 @@ func TestValidityDecidesAProposedValue(t *testing.T) {
 	}
 	if !got.Equal(types.Value("only-input")) {
 		t.Fatalf("decision %v is not the proposed value", got)
-	}
-}
-
-func TestAgreementUnderCompetingProposers(t *testing.T) {
-	c := newCluster(t, 5, netsim.Options{})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	// Two processes believe they are leader in turn; both propose different
-	// values concurrently. Agreement requires that every decision is the
-	// same value.
-	var wg sync.WaitGroup
-	results := make([]types.Value, 2)
-	errs := make([]error, 2)
-	proposers := []types.ProcID{1, 2}
-	for i, p := range proposers {
-		wg.Add(1)
-		go func(i int, p types.ProcID) {
-			defer wg.Done()
-			// Alternate the oracle so both proposers get a chance to run.
-			results[i], errs[i] = c.nodes[p].Propose(ctx, types.Value(fmt.Sprintf("from-%d", p)))
-		}(i, p)
-	}
-	// Flip leadership a few times to create contention, then settle on p1.
-	for i := 0; i < 6; i++ {
-		c.oracle.SetLeader(proposers[i%2])
-		time.Sleep(20 * time.Millisecond)
-	}
-	c.oracle.SetLeader(1)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("proposer %d error: %v", i, err)
-		}
-	}
-	if !results[0].Equal(results[1]) {
-		t.Fatalf("agreement violated: %v vs %v", results[0], results[1])
-	}
-	for _, p := range c.procs {
-		if v, ok := c.nodes[p].Decided(); ok && !v.Equal(results[0]) {
-			t.Fatalf("node %v decided %v, others decided %v", p, v, results[0])
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package pmpaxos
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -206,41 +205,6 @@ func TestBlocksWithMajorityMemoryCrash(t *testing.T) {
 	defer cancel()
 	if _, err := f.nodes[1].Propose(ctx, types.Value("stuck")); err == nil {
 		t.Fatalf("proposal should not complete when a majority of memories crashed")
-	}
-}
-
-func TestConcurrentProposersAgree(t *testing.T) {
-	f := newFixture(t, 3, 3, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	results := make(map[types.ProcID]types.Value)
-	var mu sync.Mutex
-	for _, p := range []types.ProcID{1, 2} {
-		wg.Add(1)
-		go func(p types.ProcID) {
-			defer wg.Done()
-			out, err := f.nodes[p].Propose(ctx, types.Value("from-"+types.ProcID(p).String()))
-			if err != nil {
-				t.Errorf("Propose at %v: %v", p, err)
-				return
-			}
-			mu.Lock()
-			results[p] = out.Value
-			mu.Unlock()
-		}(p)
-	}
-	// Let both contend, then settle leadership on p2 so one of them wins.
-	time.Sleep(30 * time.Millisecond)
-	f.oracle.SetLeader(2)
-	wg.Wait()
-
-	if len(results) != 2 {
-		t.Fatalf("expected both proposers to terminate, got %v", results)
-	}
-	if !results[1].Equal(results[2]) {
-		t.Fatalf("agreement violated: %v vs %v", results[1], results[2])
 	}
 }
 

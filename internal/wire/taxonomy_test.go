@@ -214,7 +214,7 @@ func admissionRefusals(t *testing.T) map[string]error {
 		t.Fatal(err)
 	}
 	base := "https://" + ln.Addr().String()
-	srv, err := kvserver.New(kvserver.Options{Store: kv, Advertise: base, MaxInflight: 1, MaxInflightPerConn: 1})
+	srv, err := kvserver.New(kvserver.Options{Store: kv, MaxInflight: 1, MaxInflightPerConn: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

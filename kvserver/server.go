@@ -50,7 +50,7 @@ type Options struct {
 	Store *rdmaagreement.ShardedKV
 	// Advertise is the base URL (scheme://host:port) clients should use to
 	// reach this server, filled into /v1/ring's endpoint map. Empty derives
-	// it per request from the Host header.
+	// it per request from the Host header, with https for a TLS request.
 	Advertise string
 	// MaxInflight bounds concurrently admitted data-path requests across the
 	// whole server; excess is shed with a typed 503 (code "overloaded") and
@@ -282,7 +282,11 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 	shards, vnodes := s.store.RingConfig()
 	base := s.opts.Advertise
 	if base == "" {
-		base = "http://" + r.Host
+		scheme := "http://"
+		if r.TLS != nil {
+			scheme = "https://"
+		}
+		base = scheme + r.Host
 	}
 	endpoints := make(map[string]string, len(shards))
 	for _, name := range shards {

@@ -142,6 +142,42 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRingAdvertisesTLSScheme serves over TLS without Options.Advertise:
+// the ring must name https endpoints, so a client routed by it reaches the
+// server instead of sending plain HTTP to a TLS port.
+func TestRingAdvertisesTLSScheme(t *testing.T) {
+	srv, err := New(Options{Store: newTestKV(t)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewTLSServer(srv.Handler())
+	defer ts.Close()
+	c, err := client.New(client.Options{Endpoints: []string{ts.URL}, HTTPClient: ts.Client(), MaxRetries: -1})
+	if err != nil {
+		t.Fatalf("client.New: %v", err)
+	}
+	defer c.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/ring")
+	if err != nil {
+		t.Fatalf("GET /v1/ring: %v", err)
+	}
+	var ring wire.RingResponse
+	err = json.NewDecoder(resp.Body).Decode(&ring)
+	resp.Body.Close()
+	if err != nil || len(ring.Endpoints) == 0 {
+		t.Fatalf("ring = %+v (err %v), want endpoints", ring, err)
+	}
+	for shard, ep := range ring.Endpoints {
+		if ep != ts.URL {
+			t.Errorf("shard %s advertised at %q, want %q", shard, ep, ts.URL)
+		}
+	}
+	if _, _, err := c.Put(context.Background(), "k", "v"); err != nil {
+		t.Fatalf("Put through the ring: %v", err)
+	}
+}
+
 // TestAdminAddShardRefusesInvalidUTF8Name checks that the admin endpoint
 // answers a shard name that is not valid UTF-8 with bad_request, before the
 // store commits anything, and that the ring still grows afterwards.
